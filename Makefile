@@ -17,9 +17,12 @@ test:
 # the race detector (the parallel minimum-width search makes -race
 # load-bearing). staticcheck and fieldalignment run only when installed —
 # the CI image may not ship them, and `make check` must work offline.
+# perfbench/ is its own Go module, so ./... never reaches it; vetting it
+# here compiles the benchmark against the packages it calls.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -1,6 +1,10 @@
 package graph
 
-import "fpgarouter/internal/faultpoint"
+import (
+	"slices"
+
+	"fpgarouter/internal/faultpoint"
+)
 
 // SPT is a single-source shortest-paths tree produced by Dijkstra.
 //
@@ -188,17 +192,17 @@ func (t *SPT) PathTo(v NodeID) []EdgeID {
 	if t.Dist[v] == inf {
 		return nil
 	}
-	var rev []EdgeID
-	for u := v; t.ParentEdge[u] != None; u = t.ParentNode[u] {
-		rev = append(rev, t.ParentEdge[u])
+	path := t.appendPath([]EdgeID{}, v)
+	slices.Reverse(path)
+	return path
+}
+
+// appendPath appends the tree path's edges to dst in v-to-source order.
+func (t *SPT) appendPath(dst []EdgeID, v NodeID) []EdgeID {
+	for ; t.ParentEdge[v] != None; v = t.ParentNode[v] {
+		dst = append(dst, t.ParentEdge[v])
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	if rev == nil {
-		rev = []EdgeID{}
-	}
-	return rev
+	return dst
 }
 
 // Reachable reports whether v is reachable from the source.
@@ -393,13 +397,34 @@ func (c *SPTCache) CachedTree(v NodeID) (*SPT, bool) {
 // path's orientation (u→v vs v→u) is unspecified; callers union undirected
 // edges.
 func (c *SPTCache) Path(u, v NodeID) []EdgeID {
+	t, x := c.pathTree(u, v)
+	return t.PathTo(x)
+}
+
+// AppendPath appends the edge IDs of the shortest path Path(u, v) would
+// return to dst and returns the extended slice (dst unchanged if u and v
+// are disconnected). It reads the same tree as Path, so the edges are the
+// same; their order is unspecified. This is the allocation-free form for
+// callers that union undirected edges into a reused buffer (KMB's path
+// expansion).
+func (c *SPTCache) AppendPath(dst []EdgeID, u, v NodeID) []EdgeID {
+	t, x := c.pathTree(u, v)
+	if !t.Reachable(x) {
+		return dst
+	}
+	return t.appendPath(dst, x)
+}
+
+// pathTree picks the tree Path and AppendPath read, and the node to walk
+// back from: u's tree if cached, else v's, else a fresh tree rooted at u.
+func (c *SPTCache) pathTree(u, v NodeID) (*SPT, NodeID) {
 	if t, ok := c.lookup(u); ok {
-		return t.PathTo(v)
+		return t, v
 	}
 	if t, ok := c.lookup(v); ok {
-		return t.PathTo(u)
+		return t, u
 	}
-	return c.Tree(u).PathTo(v)
+	return c.Tree(u), v
 }
 
 // EdgeWeight returns edge id's effective weight as seen by the cache's

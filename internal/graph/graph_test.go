@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -263,6 +264,43 @@ func TestSPTCacheMemoizes(t *testing.T) {
 	}
 }
 
+// TestAppendPathMatchesPath: AppendPath reads the same tree as Path — same
+// edge multiset, no extra Dijkstra runs — appends after whatever dst holds,
+// and leaves dst alone for a disconnected pair.
+func TestAppendPathMatchesPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(50)
+		g := RandomConnected(rng, n, 2*n, 4)
+		c := NewSPTCache(g)
+		for range 3 {
+			c.Tree(NodeID(rng.Intn(n)))
+		}
+		prefix := []EdgeID{7, 7}
+		for range 10 {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			runs := c.Runs
+			want := slices.Sorted(slices.Values(c.Path(u, v)))
+			runsPath := c.Runs - runs
+			got := c.AppendPath(slices.Clone(prefix), u, v)
+			if c.Runs-runs != runsPath {
+				t.Fatalf("trial %d: AppendPath(%d,%d) ran Dijkstra where Path did not", trial, u, v)
+			}
+			if !slices.Equal(got[:2], prefix) {
+				t.Fatalf("trial %d: prefix clobbered: %v", trial, got)
+			}
+			if slices.Sort(got[2:]); !slices.Equal(got[2:], want) {
+				t.Fatalf("trial %d: AppendPath(%d,%d) = %v, Path = %v", trial, u, v, got[2:], want)
+			}
+		}
+	}
+	g := New(3)
+	g.AddEdge(0, 1, 1)
+	if got := NewSPTCache(g).AppendPath([]EdgeID{4}, 0, 2); !slices.Equal(got, []EdgeID{4}) {
+		t.Fatalf("disconnected AppendPath = %v, want dst unchanged", got)
+	}
+}
+
 func TestMSTLineAndCycle(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
@@ -331,6 +369,28 @@ func TestUnionFind(t *testing.T) {
 	}
 	if u.Sets() != 3 {
 		t.Fatalf("sets = %d, want 3", u.Sets())
+	}
+}
+
+// TestUnionFindReset: a reset structure is n fresh singletons whether it
+// shrinks, regrows within capacity, or must reallocate.
+func TestUnionFindReset(t *testing.T) {
+	u := NewUnionFind(6)
+	u.Union(0, 5)
+	u.Union(1, 2)
+	for _, n := range []int{3, 6, 9} {
+		u.Reset(n)
+		if u.Sets() != n {
+			t.Fatalf("Reset(%d): sets = %d", n, u.Sets())
+		}
+		for i := int32(1); i < int32(n); i++ {
+			if u.Connected(0, i) {
+				t.Fatalf("Reset(%d): 0 and %d still joined", n, i)
+			}
+		}
+		if !u.Union(0, int32(n-1)) || !u.Connected(0, int32(n-1)) {
+			t.Fatalf("Reset(%d): union after reset failed", n)
+		}
 	}
 }
 

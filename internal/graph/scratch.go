@@ -10,7 +10,9 @@ import (
 // epoch counter instead of clearing), and a free list of recycled SPTs so
 // the router's ~O(nets × candidates × passes) shortest-path calls stop
 // allocating |V|-sized arrays. It also hosts the epoch-based edge/node sets
-// the Steiner heuristics use in place of per-call maps.
+// the Steiner heuristics use in place of per-call maps, their grow-only
+// working slices (TreeBuffers) and PruneTree's, so a base-heuristic
+// evaluation on a warm scratch allocates only the tree it returns.
 //
 // A scratch is NOT safe for concurrent use: it belongs to exactly one
 // goroutine at a time. The parallel width search gives each probe goroutine
@@ -39,6 +41,9 @@ type DijkstraScratch struct {
 	nodeSlot []int32  // node → dense slot assigned by the live NodeSet
 	nodeEp   uint32
 	nodeLen  int32 // slots assigned by the live NodeSet
+
+	tree  TreeBuffers  // Steiner constructions' working slices
+	prune pruneScratch // PruneTree's working slices
 
 	// Runs counts Dijkstra executions through this scratch.
 	Runs int64
@@ -228,3 +233,32 @@ func (ns NodeSet) Slot(v NodeID) int32 {
 
 // Len returns the number of distinct nodes inserted.
 func (ns NodeSet) Len() int { return int(ns.s.nodeLen) }
+
+// TreeBuffers are grow-only working slices for the Steiner constructions
+// layered on a cache (package steiner's KMB, SPH and local MST). They live
+// on the scratch beside EdgeSet and NodeSet and follow the same rules: one
+// goroutine owns them, their contents are stale between uses, and a
+// construction must be done with a buffer before it calls anything that
+// reuses it. They are not pooled separately: the race detector drops a
+// share of sync.Pool puts, which would turn a per-call Get into a per-call
+// allocation, whereas the scratch lives as long as its routing context.
+type TreeBuffers struct {
+	PrimKey  []float64      // distance-graph Prim: best key per net index
+	PrimFrom []int32        // distance-graph Prim: parent per net index
+	PrimDone []bool         // distance-graph Prim: in-tree flags
+	Pairs    [][2]int32     // distance-graph MST as net-index pairs
+	Paths    []EdgeID       // expanded shortest paths (duplicates allowed)
+	Keys     []WeightedEdge // local-MST sort keys
+	MST      []EdgeID       // local-MST edges, PruneTree's input
+	UF       UnionFind      // local-MST components
+}
+
+// WeightedEdge is an edge with its effective weight, read once so that a
+// sort by weight does not re-read it in every comparison.
+type WeightedEdge struct {
+	W  float64
+	ID EdgeID
+}
+
+// TreeBuffers returns the scratch's Steiner working slices.
+func (s *DijkstraScratch) TreeBuffers() *TreeBuffers { return &s.tree }

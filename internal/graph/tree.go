@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Tree is a routing solution: a set of edge IDs of the underlying graph that
@@ -118,88 +117,63 @@ func MaxPathlength(g *Graph, t Tree, src NodeID, sinks []NodeID) float64 {
 // keep, returning the pruned tree. This is the final clean-up step of KMB
 // and of every construction that unions shortest paths.
 //
-// It is the hottest function of the iterated constructions (called once per
-// Steiner-candidate evaluation), so it works on compact pooled slices sized
-// by the edge set rather than maps or |V|-sized scratch: local node IDs come
-// from one sort of (endpoint, slot)-packed keys — numbering every endpoint
-// occurrence without any per-edge lookup — and incidence lives in one flat
-// prefix-summed array. The leaf-pruning fixpoint is confluent — it has a
-// unique result no matter the removal order — and the output preserves the
-// input edge order, so the numbering scheme is unobservable.
-func PruneTree(g *Graph, edges []EdgeID, keep []NodeID) Tree {
+// It runs once per Steiner-candidate evaluation, so its working state lives
+// on s, sized by the edge set rather than by |V|: endpoints get dense local
+// IDs in first-occurrence order from s's epoch-stamped node→slot array
+// (NodeSet, which this call re-acquires, invalidating any the caller
+// holds), and incidence lives in one flat prefix-summed array. The
+// leaf-pruning fixpoint is confluent — it has a unique result no matter the
+// removal order — and the output keeps the input edge order, so the
+// numbering is unobservable. The returned edge slice is the one allocation
+// and never aliases edges' backing array.
+func PruneTree(g *Graph, s *DijkstraScratch, edges []EdgeID, keep []NodeID) Tree {
 	if len(edges) == 0 {
-		return NewTree(g, edges)
+		return NewTree(g, edges[:0:0])
 	}
 	m := len(edges)
-	s := prunePool.Get().(*pruneScratch)
-	defer prunePool.Put(s)
-	// Pack each endpoint occurrence as node<<32 | slot, where slot 2i / 2i+1
-	// is edge i's U / V side. One sort groups occurrences by node; walking
-	// the groups assigns dense local IDs (in ascending node order) and
-	// scatters them back through the slot — no map, no binary search.
-	keys := s.keys.take(2 * m)
+	p := &s.prune
+	ns := s.NodeSet(g.NumNodes())
+	lu := p.lu.take(m)
+	lv := p.lv.take(m)
 	for i, id := range edges {
-		keys[2*i] = uint64(uint32(g.eu[id]))<<32 | uint64(uint32(2*i))
-		keys[2*i+1] = uint64(uint32(g.ev[id]))<<32 | uint64(uint32(2*i+1))
+		lu[i] = ns.Slot(g.eu[id])
+		lv[i] = ns.Slot(g.ev[id])
 	}
-	slices.Sort(keys)
-	lu := s.lu.take(m)
-	lv := s.lv.take(m)
-	nodes := s.nodes.take(0)
-	prev := NodeID(-1)
-	n := int32(0)
-	for _, k := range keys {
-		if node := NodeID(uint32(k >> 32)); node != prev {
-			nodes = append(nodes, node)
-			prev = node
-			n++
-		}
-		if slot := uint32(k); slot&1 == 0 {
-			lu[slot>>1] = n - 1
-		} else {
-			lv[slot>>1] = n - 1
-		}
-	}
-	s.nodes = nodes
-	deg := s.deg.take(int(n))
+	n := int32(ns.Len())
+	deg := p.deg.take(int(n))
 	clear(deg)
 	for i := range lu {
 		deg[lu[i]]++
 		deg[lv[i]]++
 	}
 	// Flat incidence: node v's half-edges occupy half[off[v]:off[v+1]].
-	off := s.off.take(int(n) + 1)
+	off := p.off.take(int(n) + 1)
 	off[0] = 0
 	for v := int32(0); v < n; v++ {
 		off[v+1] = off[v] + deg[v]
 	}
-	cur := s.cur.take(int(n))
+	cur := p.cur.take(int(n))
 	copy(cur, off[:n])
-	half := s.half
-	if cap(half) < 2*m {
-		half = make([]halfEdge, 2*m)
-	}
-	half = half[:2*m]
-	s.half = half
+	half := p.half.take(2 * m)
 	for i := range lu {
 		half[cur[lu[i]]] = halfEdge{int32(i), lv[i]}
 		cur[lu[i]]++
 		half[cur[lv[i]]] = halfEdge{int32(i), lu[i]}
 		cur[lv[i]]++
 	}
-	keepSet := s.keep.take(int(n))
+	keepSet := p.keep.take(int(n))
 	clear(keepSet)
 	for _, v := range keep {
-		// keep is tiny (the net's terminals); binary-search the node list.
-		if i, ok := slices.BinarySearch(nodes, v); ok {
-			keepSet[i] = true
+		if ns.Has(v) {
+			keepSet[ns.Slot(v)] = true
 		}
 	}
-	alive := s.alive.take(m)
+	alive := p.alive.take(m)
 	for i := range alive {
 		alive[i] = true
 	}
-	queue := s.queue.take(0)
+	live := m
+	queue := p.queue.take(0)
 	for v := int32(0); v < n; v++ {
 		if deg[v] == 1 && !keepSet[v] {
 			queue = append(queue, v)
@@ -215,6 +189,7 @@ func PruneTree(g *Graph, edges []EdgeID, keep []NodeID) Tree {
 				continue
 			}
 			alive[h.pos] = false
+			live--
 			deg[v]--
 			deg[h.other]--
 			if deg[h.other] == 1 && !keepSet[h.other] {
@@ -222,8 +197,8 @@ func PruneTree(g *Graph, edges []EdgeID, keep []NodeID) Tree {
 			}
 		}
 	}
-	s.queue = queue
-	out := make([]EdgeID, 0, m)
+	p.queue = queue
+	out := make([]EdgeID, 0, live)
 	for i, id := range edges {
 		if alive[i] {
 			out = append(out, id)
@@ -239,11 +214,8 @@ type halfEdge struct {
 	other int32 // local ID of the other endpoint
 }
 
-// pruneScratch pools PruneTree's working slices; a route makes one PruneTree
-// call per Steiner-candidate evaluation, so the per-call allocations would
-// otherwise dominate the allocator profile.
+// pruneScratch holds PruneTree's working slices on a DijkstraScratch.
 type pruneScratch struct {
-	keys  reuse[uint64]
 	lu    reuse[int32]
 	lv    reuse[int32]
 	deg   reuse[int32]
@@ -252,8 +224,7 @@ type pruneScratch struct {
 	queue reuse[int32]
 	keep  reuse[bool]
 	alive reuse[bool]
-	nodes reuse[NodeID]
-	half  []halfEdge
+	half  reuse[halfEdge]
 }
 
 // reuse is a grow-only slice that hands out length-n views of one backing
@@ -267,8 +238,6 @@ func (r *reuse[T]) take(n int) []T {
 	*r = (*r)[:n]
 	return *r
 }
-
-var prunePool = sync.Pool{New: func() any { return new(pruneScratch) }}
 
 // Subgraph returns a new graph with the same node count as g containing only
 // the given edges (deduplicated), with each new edge keeping the weight of

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -92,7 +93,7 @@ func TestPruneTreeRemovesPendantChains(t *testing.T) {
 	e12 := g.AddEdge(1, 2, 1)
 	e23 := g.AddEdge(2, 3, 1)
 	e34 := g.AddEdge(3, 4, 1)
-	pruned := PruneTree(g, []EdgeID{e01, e12, e23, e34}, []NodeID{0, 1})
+	pruned := PruneTree(g, NewDijkstraScratch(), []EdgeID{e01, e12, e23, e34}, []NodeID{0, 1})
 	if len(pruned.Edges) != 1 || pruned.Edges[0] != e01 {
 		t.Fatalf("pruned edges = %v", pruned.Edges)
 	}
@@ -107,7 +108,7 @@ func TestPruneTreeKeepsSteinerJunctions(t *testing.T) {
 	e01 := g.AddEdge(0, 1, 1)
 	e12 := g.AddEdge(1, 2, 1)
 	e13 := g.AddEdge(1, 3, 1)
-	pruned := PruneTree(g, []EdgeID{e01, e12, e13}, []NodeID{0, 2, 3})
+	pruned := PruneTree(g, NewDijkstraScratch(), []EdgeID{e01, e12, e13}, []NodeID{0, 2, 3})
 	if len(pruned.Edges) != 3 {
 		t.Fatalf("junction wrongly pruned: %v", pruned.Edges)
 	}
@@ -163,5 +164,97 @@ func TestQuickMSTAndDijkstraProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pruneOracle is the textbook leaf-pruning fixpoint over maps: sweep the
+// edge list deleting any live edge with a degree-1 endpoint outside keep,
+// until a sweep deletes nothing. It shares no code or numbering with
+// PruneTree.
+func pruneOracle(g *Graph, edges []EdgeID, keep []NodeID) []EdgeID {
+	keepSet := make(map[NodeID]bool)
+	for _, v := range keep {
+		keepSet[v] = true
+	}
+	deg := make(map[NodeID]int)
+	alive := make(map[int]bool)
+	for i, id := range edges {
+		e := g.Edge(id)
+		deg[e.U]++
+		deg[e.V]++
+		alive[i] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, id := range edges {
+			e := g.Edge(id)
+			if alive[i] && (deg[e.U] == 1 && !keepSet[e.U] || deg[e.V] == 1 && !keepSet[e.V]) {
+				alive[i] = false
+				deg[e.U]--
+				deg[e.V]--
+				changed = true
+			}
+		}
+	}
+	out := []EdgeID{}
+	for i, id := range edges {
+		if alive[i] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestPruneTreeMatchesOracle: on random edge subsets of random graphs —
+// spanning trees, forests, subsets with cycles, shuffled order — with keep
+// sets that may name nodes the edges never touch, PruneTree returns exactly
+// the oracle's edges in the oracle's (input) order. One scratch serves every
+// trial, with a live NodeSet dirtied in between, so stale buffer and slot
+// contents from earlier calls cannot leak into a result.
+func TestPruneTreeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := NewDijkstraScratch()
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(60)
+		g := RandomConnected(rng, n, n+rng.Intn(2*n), 5)
+		var edges []EdgeID
+		switch trial % 3 {
+		case 0: // a spanning tree, as KMB's local MST produces
+			edges, _ = g.KruskalMST()
+		case 1: // a forest
+			mst, _ := g.KruskalMST()
+			for _, id := range mst {
+				if rng.Intn(4) > 0 {
+					edges = append(edges, id)
+				}
+			}
+		default: // an arbitrary subset, cycles included
+			for id := 0; id < g.NumEdges(); id++ {
+				if rng.Intn(2) == 0 {
+					edges = append(edges, EdgeID(id))
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		keep := RandomNet(rng, g, 1+rng.Intn(min(n, 6)))
+		ns := s.NodeSet(n)
+		for v := 0; v < n; v += 2 {
+			ns.Add(NodeID(v))
+		}
+		in := slices.Clone(edges)
+		got := PruneTree(g, s, edges, keep)
+		want := pruneOracle(g, edges, keep)
+		if !slices.Equal(got.Edges, want) {
+			t.Fatalf("trial %d: PruneTree = %v, oracle = %v (input %v, keep %v)", trial, got.Edges, want, edges, keep)
+		}
+		if got.Cost != g.TotalWeight(want) {
+			t.Fatalf("trial %d: cost %v, want %v", trial, got.Cost, g.TotalWeight(want))
+		}
+		if !slices.Equal(edges, in) {
+			t.Fatalf("trial %d: PruneTree modified its input", trial)
+		}
+		if len(got.Edges) > 0 && len(edges) > 0 && &got.Edges[0] == &edges[0] {
+			t.Fatalf("trial %d: result aliases the input slice", trial)
+		}
 	}
 }

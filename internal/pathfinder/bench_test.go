@@ -30,12 +30,14 @@ func BenchmarkRouteBuscIncremental(b *testing.B) { benchRouteBusc(b, true) }
 
 // TestRouteAllocsBounded pins the per-run pooling: workers, overlays and
 // reconnect buffers are acquired once per run and reused by every
-// iteration, so a whole incremental route allocates a bounded amount —
-// dominated by the per-run engine arrays and the per-net trees, not by
-// anything per-iteration. The threshold is ~2× the measured steady-state
-// count (term1 at the paper width, sequential workers), so it only fires on
-// a structural regression such as re-acquiring scratch or overlays inside
-// the iteration loop.
+// iteration, and a KMB evaluation allocates only the tree it returns, so a
+// whole incremental route allocates a bounded amount — dominated by the
+// per-run engine arrays and the per-net trees, not by anything
+// per-iteration or per-candidate. The threshold is ~2× the measured
+// steady-state count (67,455 for term1 at the paper width, sequential
+// workers, the same with and without -race), so it fires on a structural
+// regression such as re-acquiring scratch or overlays inside the
+// iteration loop, or a per-call buffer back in the Steiner evaluation.
 func TestRouteAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is a long-mode check")
@@ -52,8 +54,9 @@ func TestRouteAllocsBounded(t *testing.T) {
 			t.Fatalf("route failed: %v (converged=%v)", err, res != nil && res.Converged)
 		}
 	})
-	const limit = 2000000
+	t.Logf("incremental route: %.0f allocations", allocs)
+	const limit = 135000
 	if allocs > limit {
-		t.Fatalf("incremental route allocated %.0f objects, limit %d — per-iteration state is no longer pooled", allocs, limit)
+		t.Fatalf("incremental route allocated %.0f objects, limit %d — per-iteration or per-candidate state is no longer pooled", allocs, limit)
 	}
 }

@@ -1,7 +1,9 @@
 package pathfinder
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -116,6 +118,35 @@ func (e *engine) maybeCheckpoint(iter int, res *Result, reroute []int32, polishe
 	fn(e.snapshot(iter, res, reroute, polished, forceSeq))
 }
 
+// ErrBadCheckpoint reports a checkpoint whose framing and shape guards pass
+// but whose contents cannot belong to any run: a tree edge or rip-up index
+// out of range, or a history price that is negative or not finite.
+var ErrBadCheckpoint = errors.New("pathfinder: bad checkpoint contents")
+
+// checkContents validates everything restore and the resumed loop index
+// by, before any engine state is touched, so a corrupt checkpoint returns
+// an error wrapping ErrBadCheckpoint instead of panicking mid-restore.
+func (e *engine) checkContents(ck *Checkpoint) error {
+	for r, h := range ck.Hist {
+		if !(h >= 0) || math.IsInf(h, 1) {
+			return fmt.Errorf("%w: resource %d history price %v", ErrBadCheckpoint, r, h)
+		}
+	}
+	for idx, tr := range ck.Trees {
+		for _, id := range tr.Edges {
+			if id < 0 || int(id) >= len(e.edgeRes) {
+				return fmt.Errorf("%w: net %d tree edge %d out of range [0, %d)", ErrBadCheckpoint, idx, id, len(e.edgeRes))
+			}
+		}
+	}
+	for _, idx := range ck.Reroute {
+		if idx < 0 || int(idx) >= len(e.nets) {
+			return fmt.Errorf("%w: rip-up index %d out of range [0, %d)", ErrBadCheckpoint, idx, len(e.nets))
+		}
+	}
+	return nil
+}
+
 // restore rebuilds the engine's iteration state from ck: history prices
 // and trees verbatim, usage by the same integer recount the reduce runs,
 // the incremental active set from the usage/history support, and the
@@ -136,6 +167,9 @@ func (e *engine) restore(ck *Checkpoint, res *Result) error {
 		return fmt.Errorf("pathfinder: checkpoint seed %d, run configured %d", ck.Seed, e.cfg.Seed)
 	case len(ck.History) != ck.Iteration:
 		return fmt.Errorf("pathfinder: checkpoint history has %d entries for %d iterations", len(ck.History), ck.Iteration)
+	}
+	if err := e.checkContents(ck); err != nil {
+		return err
 	}
 	copy(e.hist, ck.Hist)
 	copy(e.trees, ck.Trees)

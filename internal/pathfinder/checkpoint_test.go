@@ -2,7 +2,10 @@ package pathfinder
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -182,7 +185,9 @@ func TestCheckpointCadence(t *testing.T) {
 }
 
 // TestCheckpointResumeGuards: incompatible checkpoints are rejected with an
-// error, never silently resumed.
+// error, never silently resumed. Checkpoints that pass the shape guards but
+// carry impossible contents (the last three cases) fail with an error
+// wrapping ErrBadCheckpoint instead of panicking inside restore.
 func TestCheckpointResumeGuards(t *testing.T) {
 	spec := specNamed(t, "term1")
 	cks, _ := captureAll(t, Config{Workers: 1, Seed: 7})
@@ -191,14 +196,24 @@ func TestCheckpointResumeGuards(t *testing.T) {
 		name   string
 		mutate func(*Checkpoint)
 		cfg    Config
+		bad    bool // contents check: the error must wrap ErrBadCheckpoint
 	}{
-		{"seed", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 8}},
-		{"incremental", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 7, Incremental: true}},
-		{"algorithm", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 7, Algorithm: AlgKMB}},
-		{"nets", func(ck *Checkpoint) { ck.Nets++ }, Config{Workers: 1, Seed: 7}},
-		{"resources", func(ck *Checkpoint) { ck.Resources++ }, Config{Workers: 1, Seed: 7}},
-		{"history", func(ck *Checkpoint) { ck.History = ck.History[:0] }, Config{Workers: 1, Seed: 7}},
-		{"iteration", func(ck *Checkpoint) { ck.Iteration = 0 }, Config{Workers: 1, Seed: 7}},
+		{"seed", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 8}, false},
+		{"incremental", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 7, Incremental: true}, false},
+		{"algorithm", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 7, Algorithm: AlgKMB}, false},
+		{"nets", func(ck *Checkpoint) { ck.Nets++ }, Config{Workers: 1, Seed: 7}, false},
+		{"resources", func(ck *Checkpoint) { ck.Resources++ }, Config{Workers: 1, Seed: 7}, false},
+		{"history", func(ck *Checkpoint) { ck.History = ck.History[:0] }, Config{Workers: 1, Seed: 7}, false},
+		{"iteration", func(ck *Checkpoint) { ck.Iteration = 0 }, Config{Workers: 1, Seed: 7}, false},
+		{"edge-range", func(ck *Checkpoint) {
+			ck.Trees = slices.Clone(ck.Trees)
+			ck.Trees[0].Edges = append(slices.Clone(ck.Trees[0].Edges), 1<<30)
+		}, Config{Workers: 1, Seed: 7}, true},
+		{"reroute-range", func(ck *Checkpoint) { ck.Reroute = append(slices.Clone(ck.Reroute), int32(ck.Nets)) }, Config{Workers: 1, Seed: 7}, true},
+		{"hist-finite", func(ck *Checkpoint) {
+			ck.Hist = slices.Clone(ck.Hist)
+			ck.Hist[len(ck.Hist)/2] = math.NaN()
+		}, Config{Workers: 1, Seed: 7}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ck := *base
@@ -206,8 +221,12 @@ func TestCheckpointResumeGuards(t *testing.T) {
 			fab, ckt := synth(t, spec, spec.PaperIKMB)
 			cfg := tc.cfg
 			cfg.Resume = &ck
-			if _, err := Route(fab, ckt.Nets, cfg); err == nil {
+			_, err := Route(fab, ckt.Nets, cfg)
+			if err == nil {
 				t.Fatal("incompatible checkpoint resumed without error")
+			}
+			if errors.Is(err, ErrBadCheckpoint) != tc.bad {
+				t.Fatalf("err = %v; wraps ErrBadCheckpoint = %v, want %v", err, !tc.bad, tc.bad)
 			}
 		})
 	}

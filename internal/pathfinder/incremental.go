@@ -328,5 +328,5 @@ func (e *engine) reconnect(wk *worker, idx int, terms []graph.NodeID) (graph.Tre
 	wk.increroutes++
 	wk.retained += int64(retained)
 	wk.ripped += int64(len(prev.Edges) - retained)
-	return graph.PruneTree(e.g, out, terms), true
+	return graph.PruneTree(e.g, wk.scratch, out, terms), true
 }

@@ -143,6 +143,47 @@ func TestIdempotentResubmission(t *testing.T) {
 	pollUntilTerminal(t, ts.URL, st3.ID, 2*time.Minute)
 }
 
+// TestResultStoredBeforeDone: a job reads done only once its result is in
+// the store, so a client that polls to done and resubmits always hits the
+// cache. Twenty small inline-netlist jobs (distinct widths, so distinct
+// content keys) are each polled through Job.StateNow in a tight loop, and
+// the store is consulted the first time each reads done.
+func TestResultStoredBeforeDone(t *testing.T) {
+	svc, _, _ := durableHarness(t, t.TempDir(), Config{Workers: 1, QueueDepth: 4})
+	spec := circuits.Spec{Name: "inline", Series: circuits.Series4000, Cols: 5, Rows: 5,
+		Nets2_3: 12, Nets4_10: 4}
+	ckt, err := circuits.Synthesize(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 20 {
+		st, err := svc.Submit(&SubmitRequest{
+			Mode: ModeRoute, Netlist: ckt, Width: 8 + i, Options: router.Options{MaxPasses: 8},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheHit {
+			t.Fatalf("job %d: fresh request answered from the store", i)
+		}
+		j, _ := svc.Job(st.ID)
+		deadline := time.Now().Add(time.Minute)
+		state := j.StateNow()
+		for !state.terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d still %s after a minute", i, state)
+			}
+			state = j.StateNow()
+		}
+		if state != StateDone {
+			t.Fatalf("job %d ended %s: %+v", i, state, j.Status())
+		}
+		if _, ok := svc.lookupResult(j.key); !ok {
+			t.Fatalf("job %d read done before its result was stored", i)
+		}
+	}
+}
+
 // TestRecoveryRequeuesInterruptedJob: a journal holding submitted+started
 // with no terminal record — a crash mid-route — re-enqueues the job on
 // recovery, and the re-run's result is bit-identical to a direct route.

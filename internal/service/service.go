@@ -425,17 +425,19 @@ func (s *Service) run(rc *router.Context, job *Job) *router.Context {
 		s.stats.AddPartialResult()
 	}
 	s.observeJobDuration(time.Since(start))
+	// Persist a successful result BEFORE finish publishes done and before
+	// the done journal record: a client that polls to done and resubmits
+	// must hit the store, and a crash between Put and the record replays
+	// the job as interrupted and re-runs it — never as done with a missing
+	// result. finish maps a nil error to done unconditionally.
+	if err == nil && s.cfg.Results != nil && job.key != "" {
+		if perr := s.cfg.Results.Put(job.key, storedResult{Width: width, Result: res}); perr != nil {
+			s.stats.AddJournalError()
+		}
+	}
 	switch job.finish(width, res, err, attempts) {
 	case StateDone:
 		s.completed[cDone].Add(1)
-		// Persist the result BEFORE journaling done: a crash between the two
-		// replays the job as interrupted and re-runs it — never as done with
-		// a missing result.
-		if s.cfg.Results != nil && job.key != "" {
-			if perr := s.cfg.Results.Put(job.key, storedResult{Width: width, Result: res}); perr != nil {
-				s.stats.AddJournalError()
-			}
-		}
 		s.journalAppend(journal.Record{Event: journal.EvDone, JobID: job.id, Key: job.key, Width: width, Attempts: attempts})
 	case StateFailed:
 		s.completed[cFailed].Add(1)

@@ -20,42 +20,44 @@ func KMB(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 		return graph.Tree{Edges: []graph.EdgeID{}}, nil
 	}
 	// Step 1+2: MST of the (implicit) complete distance graph over the
-	// net, computed matrix-free over cached shortest-path distances —
-	// this function is evaluated once per Steiner candidate inside IKMB,
-	// so it avoids materializing a graph object per call.
-	pairs, err := distanceMSTPairs(cache, net)
+	// net, computed matrix-free over cached shortest-path distances, then
+	// each MST edge expanded into its shortest path. This function is
+	// evaluated once per Steiner candidate inside IKMB, so every working
+	// slice comes from the cache's scratch (graph.TreeBuffers) and the
+	// pruned tree's edge slice is the only allocation on a warm cache.
+	b := cache.Scratch().TreeBuffers()
+	pairs, err := distanceMSTPairs(cache, b, net)
 	if err != nil {
 		return graph.Tree{}, err
 	}
-	seen := cache.EdgeSet()
-	var pathEdges []graph.EdgeID
+	// Paths overlap; localMST deduplicates, and neither the order nor the
+	// repeats reach its result, which depends only on the edge set.
+	paths := b.Paths[:0]
 	for _, pr := range pairs {
-		for _, ge := range cache.Path(net[pr[0]], net[pr[1]]) {
-			if seen.Add(ge) {
-				pathEdges = append(pathEdges, ge)
-			}
-		}
+		paths = cache.AppendPath(paths, net[pr[0]], net[pr[1]])
 	}
+	b.Paths = paths
 	// Step 3: MST over the expanded subgraph, then prune pendant
-	// non-terminals. localMST re-acquires the edge set; seen is dead here.
-	mst2 := localMST(cache, pathEdges)
-	return graph.PruneTree(cache.Graph(), mst2, net), nil
+	// non-terminals.
+	mst := localMST(cache, paths)
+	return graph.PruneTree(cache.Graph(), cache.Scratch(), mst, net), nil
 }
 
 // distanceMSTPairs runs Prim over the implicit complete distance graph on
-// net and returns the chosen (i, j) index pairs. Ties break toward the
-// earlier-reached node, deterministically.
-func distanceMSTPairs(cache *graph.SPTCache, net []graph.NodeID) ([][2]int32, error) {
+// net and returns the chosen (i, j) index pairs in join order, in b.Pairs.
+// Ties break toward the earlier-reached node, deterministically.
+func distanceMSTPairs(cache *graph.SPTCache, b *graph.TreeBuffers, net []graph.NodeID) ([][2]int32, error) {
 	k := len(net)
-	inTree := make([]bool, k)
-	best := make([]float64, k)
-	bestFrom := make([]int32, k)
+	inTree := grow(&b.PrimDone, k)
+	best := grow(&b.PrimKey, k)
+	bestFrom := grow(&b.PrimFrom, k)
 	for i := range best {
+		inTree[i] = false
 		best[i] = graph.Inf()
 		bestFrom[i] = -1
 	}
 	best[0] = 0
-	pairs := make([][2]int32, 0, k-1)
+	pairs := b.Pairs[:0]
 	for iter := 0; iter < k; iter++ {
 		u := -1
 		for v := 0; v < k; v++ {
@@ -93,5 +95,6 @@ func distanceMSTPairs(cache *graph.SPTCache, net []graph.NodeID) ([][2]int32, er
 			}
 		}
 	}
+	b.Pairs = pairs
 	return pairs, nil
 }

@@ -81,5 +81,5 @@ func SPH(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 	// finish with a local MST + prune exactly like KMB's steps 3–4.
 	// localMST re-acquires both pooled sets; inTree/edgeSet are dead here.
 	mst := localMST(cache, edges)
-	return graph.PruneTree(g, mst, net), nil
+	return graph.PruneTree(g, cache.Scratch(), mst, net), nil
 }

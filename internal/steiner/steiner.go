@@ -11,6 +11,7 @@
 package steiner
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -122,49 +123,57 @@ func (dg *DistanceGraph) ExpandEdges(cache *graph.SPTCache, ids []graph.EdgeID) 
 // the cache's graph (deduplicated) using Kruskal over a compact node
 // remapping, so its cost is proportional to the edge set, not to |V(g)|.
 // The edge set is assumed to induce a connected subgraph (true for unions
-// of shortest paths that expand a connected tree). Tie-breaking is by edge
-// ID, deterministic.
+// of shortest paths that expand a connected tree).
 //
 // This is the hot path of every candidate-Steiner-node evaluation in the
-// iterated constructions, which is why dedup and remapping run on the
-// cache's pooled epoch sets instead of per-call maps (see DESIGN.md §5).
-// It acquires the cache's EdgeSet and NodeSet, invalidating any the caller
-// still holds.
+// iterated constructions (see DESIGN.md §5), so it allocates nothing on a
+// warm scratch: dedup and remapping run on the cache's epoch sets, and the
+// sort keys, union-find and result live in the scratch's TreeBuffers. Each
+// edge's weight is read once into its key, as the cache's effective weight
+// (base + overlay price, when an overlay is attached) so the MST agrees
+// with the searches that produced the edge set. The keys sort by (weight,
+// ID), a total order, so the result is independent of the input order and
+// of repeats. The result aliases TreeBuffers.MST and is valid until the next
+// call. It acquires the cache's EdgeSet and NodeSet, invalidating any the
+// caller still holds.
 func localMST(cache *graph.SPTCache, edges []graph.EdgeID) []graph.EdgeID {
 	g := cache.Graph()
+	b := cache.Scratch().TreeBuffers()
 	seen := cache.EdgeSet()
 	remap := cache.NodeSet()
-	uniq := make([]graph.EdgeID, 0, len(edges))
+	keys := b.Keys[:0]
 	for _, e := range edges {
 		if seen.Add(e) {
-			uniq = append(uniq, e)
+			keys = append(keys, graph.WeightedEdge{W: cache.EdgeWeight(e), ID: e})
 			ge := g.Edge(e)
 			remap.Slot(ge.U)
 			remap.Slot(ge.V)
 		}
 	}
-	// Ordering by the cache's effective weight (base + overlay price, when an
-	// overlay is attached) keeps the MST consistent with the searches that
-	// produced the edge set; with no overlay this is exactly g.Weight.
-	slices.SortFunc(uniq, func(a, b graph.EdgeID) int {
-		wa, wb := cache.EdgeWeight(a), cache.EdgeWeight(b)
-		if wa != wb {
-			if wa < wb {
-				return -1
-			}
-			return 1
-		}
-		return int(a) - int(b)
+	b.Keys = keys
+	slices.SortFunc(keys, func(x, y graph.WeightedEdge) int {
+		return cmp.Or(cmp.Compare(x.W, y.W), cmp.Compare(x.ID, y.ID))
 	})
-	uf := graph.NewUnionFind(remap.Len())
-	mst := make([]graph.EdgeID, 0, remap.Len())
-	for _, e := range uniq {
-		ge := g.Edge(e)
-		if uf.Union(remap.Slot(ge.U), remap.Slot(ge.V)) {
-			mst = append(mst, e)
+	b.UF.Reset(remap.Len())
+	mst := b.MST[:0]
+	for _, k := range keys {
+		ge := g.Edge(k.ID)
+		if b.UF.Union(remap.Slot(ge.U), remap.Slot(ge.V)) {
+			mst = append(mst, k.ID)
 		}
 	}
+	b.MST = mst
 	return mst
+}
+
+// grow returns a length-n view of *buf, reallocating only when its
+// capacity falls short. Contents are stale.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // sortedCopy returns a sorted copy of nodes (determinism helper).

@@ -264,7 +264,7 @@ func TestExactMatchesBruteForceOnTrees(t *testing.T) {
 		for i := range all {
 			all[i] = graph.EdgeID(i)
 		}
-		want := graph.PruneTree(g, all, net).Cost
+		want := graph.PruneTree(g, c.Scratch(), all, net).Cost
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: exact %v != pruned-tree %v", trial, got, want)
 		}
