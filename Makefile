@@ -18,7 +18,10 @@ test:
 # load-bearing). staticcheck and fieldalignment run only when installed —
 # the CI image may not ship them, and `make check` must work offline.
 # perfbench/ is its own Go module, so ./... never reaches it; vetting it
-# here compiles the benchmark against the packages it calls.
+# here compiles the benchmark against the packages it calls. The race run's
+# -timeout replaces go test's 10-minute per-package default: on a 2-vCPU
+# machine internal/service alone has taken ~9 minutes under -race, and that
+# machine's speed has swung by 2.6x between runs.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -33,7 +36,7 @@ check:
 	else \
 		echo "fieldalignment not installed; skipping (go install golang.org/x/tools/go/analysis/passes/fieldalignment/cmd/fieldalignment@latest)"; \
 	fi
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 # Fault-injection suite (internal/faultpoint): worker panics, injected
 # transient errors, deadline-interrupted searches — the daemon must

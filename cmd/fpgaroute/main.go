@@ -47,7 +47,6 @@ func main() {
 		goal     = flag.Bool("goal", false, "goal-directed search (A* toward each net's pins under the fabric's coordinate bound, bidirectional Dijkstra for 2-pin nets; exact costs, equal-cost paths may differ; always on under -parallel)")
 		parallel = flag.Bool("parallel", false, "net-parallel negotiated-congestion routing (internal/pathfinder): all nets route concurrently each iteration against Lagrangian edge prices")
 		netWork  = flag.Int("net-workers", 0, "net-routing worker goroutines in -parallel mode (0 = GOMAXPROCS capped at 8; results are identical for any worker count)")
-		increm   = flag.Bool("incremental", false, "incremental rip-up in -parallel mode: contested nets keep the non-overflowed fragment of their tree and reconnect orphaned pins by multi-source search; reduce/reprice run as deltas")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -110,7 +109,7 @@ func main() {
 			exit(1)
 		}
 	}
-	opts := router.Options{Algorithm: *alg, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *single, LazyScan: *lazy, GoalDirected: *goal, Parallel: *parallel, NetWorkers: *netWork, IncrementalReroute: *increm}
+	opts := router.Options{Algorithm: *alg, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *single, LazyScan: *lazy, GoalDirected: *goal, Parallel: *parallel, NetWorkers: *netWork}
 	if *critical != "" {
 		for _, tok := range strings.Split(*critical, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(tok))

@@ -59,9 +59,8 @@ type BenchResult struct {
 	// their ns_per_op ratio is the net-level parallel speedup.
 	IterationsPerOp int64 `json:"iterations_per_op,omitempty"`
 	// EdgesRippedPerOp / EdgesRetainedPerOp are recorded for the
-	// RouteZ03Parallel entries: previous-tree edges discarded and kept
-	// across one converged route's iterations. The Full entry rips
-	// everything (retained 0); the Incremental entry's retained share is
+	// RouteZ03ParallelIncremental entry: previous-tree edges discarded and
+	// kept across one converged route's iterations. The retained share is
 	// the partial rip-up working.
 	EdgesRippedPerOp   int64 `json:"edges_ripped_per_op,omitempty"`
 	EdgesRetainedPerOp int64 `json:"edges_retained_per_op,omitempty"`
@@ -355,11 +354,10 @@ func writeBenchJSON(path string, quick bool) error {
 		out.Results = append(out.Results, res)
 	}
 	if !quick {
-		// The z03 stress case is the incremental rip-up showcase: the
-		// hardest paper circuit, ~10 minutes per converged full-reroute run —
-		// far too slow for testing.Benchmark's auto-scaling, and the engine
-		// is deterministic, so one hand-timed run is the benchmark. A stats
-		// collector supplies the rip-up provenance for each entry.
+		// The z03 stress case is the hardest paper circuit: far too slow for
+		// testing.Benchmark's auto-scaling, and the engine is deterministic,
+		// so one hand-timed run is the benchmark. A stats collector supplies
+		// the rip-up provenance.
 		z03spec, ok := circuits.SpecByName("z03")
 		if !ok {
 			return fmt.Errorf("bench-json: circuit z03 not registered")
@@ -368,40 +366,26 @@ func writeBenchJSON(path string, quick bool) error {
 		if err != nil {
 			return err
 		}
-		benchZ03 := func(name string, incremental bool) (BenchResult, error) {
-			fmt.Fprintf(os.Stderr, "bench-json: running %s (single hand-timed run)\n", name)
-			col := stats.New()
-			rctx := router.NewContext(col)
-			defer rctx.Close()
-			start := time.Now()
-			res, err := router.RouteCtx(rctx, z03, z03spec.PaperIKMB, router.Options{Parallel: true, IncrementalReroute: incremental})
-			if err != nil {
-				return BenchResult{}, fmt.Errorf("%s: %w", name, err)
-			}
-			snap := col.Snapshot()
-			return BenchResult{
-				Name:               name,
-				Iterations:         1,
-				NsPerOp:            float64(time.Since(start).Nanoseconds()),
-				GoMaxProcs:         runtime.GOMAXPROCS(0),
-				IterationsPerOp:    int64(res.Passes),
-				EdgesRippedPerOp:   snap.EdgesRipped,
-				EdgesRetainedPerOp: snap.EdgesRetained,
-			}, nil
+		const name = "BenchmarkRouteZ03ParallelIncremental"
+		fmt.Fprintf(os.Stderr, "bench-json: running %s (single hand-timed run)\n", name)
+		col := stats.New()
+		rctx := router.NewContext(col)
+		defer rctx.Close()
+		start := time.Now()
+		res, err := router.RouteCtx(rctx, z03, z03spec.PaperIKMB, router.Options{Parallel: true})
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		for _, z := range []struct {
-			name string
-			inc  bool
-		}{
-			{"BenchmarkRouteZ03ParallelFull", false},
-			{"BenchmarkRouteZ03ParallelIncremental", true},
-		} {
-			res, err := benchZ03(z.name, z.inc)
-			if err != nil {
-				return err
-			}
-			out.Results = append(out.Results, res)
-		}
+		snap := col.Snapshot()
+		out.Results = append(out.Results, BenchResult{
+			Name:               name,
+			Iterations:         1,
+			NsPerOp:            float64(time.Since(start).Nanoseconds()),
+			GoMaxProcs:         runtime.GOMAXPROCS(0),
+			IterationsPerOp:    int64(res.Passes),
+			EdgesRippedPerOp:   snap.EdgesRipped,
+			EdgesRetainedPerOp: snap.EdgesRetained,
+		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

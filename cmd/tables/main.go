@@ -49,7 +49,6 @@ func main() {
 		goal       = flag.Bool("goal", false, "goal-directed search (A* toward each net's pins under the fabric's coordinate bound; exact costs, equal-cost paths may differ; always on under -parallel)")
 		parallel   = flag.Bool("parallel", false, "net-parallel negotiated-congestion routing (internal/pathfinder) for the table sweeps")
 		netWork    = flag.Int("net-workers", 0, "net-routing worker goroutines in -parallel mode (0 = GOMAXPROCS capped at 8; results are identical for any worker count)")
-		increm     = flag.Bool("incremental", false, "incremental rip-up in -parallel mode: contested nets keep the non-overflowed fragment of their tree and reconnect orphaned pins; reduce/reprice run as deltas")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -88,7 +87,7 @@ func main() {
 			*passes = 8
 		}
 	}
-	cfg := experiments.RouterConfig{Seed: *seed, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *singleStep, LazyScan: *lazy, GoalDirected: *goal, Parallel: *parallel, NetWorkers: *netWork, IncrementalReroute: *increm}
+	cfg := experiments.RouterConfig{Seed: *seed, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *singleStep, LazyScan: *lazy, GoalDirected: *goal, Parallel: *parallel, NetWorkers: *netWork}
 	if *timeout > 0 {
 		cc, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()

@@ -60,12 +60,6 @@ type RouterConfig struct {
 	// goroutines per pathfinder iteration (0 = GOMAXPROCS capped at 8;
 	// results are identical for any worker count).
 	NetWorkers int
-	// IncrementalReroute is forwarded to router.Options.IncrementalReroute:
-	// partial rip-up inside the parallel router (contested nets keep the
-	// non-overflowed fragment of their previous tree and reconnect orphaned
-	// pins by multi-source search; reduce/reprice run as deltas). Only
-	// meaningful with Parallel.
-	IncrementalReroute bool
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -110,15 +104,14 @@ func minWidthFor(spec circuits.Spec, alg string, cfg RouterConfig) (WidthRow, er
 	ctx := router.NewContext(cfg.Stats)
 	defer ctx.Close()
 	w, res, _, err := router.MinWidthContext(cfg.Ctx, ctx, ckt, start, router.Options{
-		Algorithm:          alg,
-		MaxPasses:          cfg.MaxPasses,
-		CandidateWorkers:   cfg.CandidateWorkers,
-		SingleStep:         cfg.SingleStep,
-		LazyScan:           cfg.LazyScan,
-		GoalDirected:       cfg.GoalDirected,
-		Parallel:           cfg.Parallel,
-		NetWorkers:         cfg.NetWorkers,
-		IncrementalReroute: cfg.IncrementalReroute,
+		Algorithm:        alg,
+		MaxPasses:        cfg.MaxPasses,
+		CandidateWorkers: cfg.CandidateWorkers,
+		SingleStep:       cfg.SingleStep,
+		LazyScan:         cfg.LazyScan,
+		GoalDirected:     cfg.GoalDirected,
+		Parallel:         cfg.Parallel,
+		NetWorkers:       cfg.NetWorkers,
 	})
 	if err != nil {
 		return WidthRow{}, fmt.Errorf("%s/%s: %w", spec.Name, alg, err)
@@ -278,7 +271,7 @@ func Table5(cfg RouterConfig) ([]Table5Row, error) {
 			results = map[string]*router.Result{}
 			for _, alg := range algs {
 				progress("table 5: %s at width %d with %s", spec.Name, width, alg)
-				res, err := router.RouteContext(cfg.Ctx, ctx, ckt, width, router.Options{Algorithm: alg, MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, LazyScan: cfg.LazyScan, GoalDirected: cfg.GoalDirected, Parallel: cfg.Parallel, NetWorkers: cfg.NetWorkers, IncrementalReroute: cfg.IncrementalReroute})
+				res, err := router.RouteContext(cfg.Ctx, ctx, ckt, width, router.Options{Algorithm: alg, MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, LazyScan: cfg.LazyScan, GoalDirected: cfg.GoalDirected, Parallel: cfg.Parallel, NetWorkers: cfg.NetWorkers})
 				if err != nil {
 					if errors.Is(err, router.ErrUnroutable) {
 						break

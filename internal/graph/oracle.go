@@ -1,47 +1,5 @@
 package graph
 
-// FloydWarshall computes all-pairs shortest-path distances over the enabled
-// edges. It is O(V^3) and exists as a test oracle for Dijkstra and the
-// distance-graph constructions; production code uses per-source Dijkstra.
-func (g *Graph) FloydWarshall() [][]float64 {
-	n := g.n
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			if i != j {
-				d[i][j] = inf
-			}
-		}
-	}
-	for id := range g.eu {
-		if !g.enabledBit(EdgeID(id)) {
-			continue
-		}
-		u, v, w := g.eu[id], g.ev[id], g.w[id]
-		if w < d[u][v] {
-			d[u][v] = w
-			d[v][u] = w
-		}
-	}
-	for k := 0; k < n; k++ {
-		dk := d[k]
-		for i := 0; i < n; i++ {
-			dik := d[i][k]
-			if dik == inf {
-				continue
-			}
-			di := d[i]
-			for j := 0; j < n; j++ {
-				if nd := dik + dk[j]; nd < di[j] {
-					di[j] = nd
-				}
-			}
-		}
-	}
-	return d
-}
-
 // ConnectedComponent returns the set of nodes reachable from src through
 // enabled edges (including src), as a boolean membership slice.
 func (g *Graph) ConnectedComponent(src NodeID) []bool {

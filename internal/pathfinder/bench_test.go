@@ -4,18 +4,15 @@ import (
 	"testing"
 )
 
-// benchRouteBusc times a full converged pathfinder run on busc at the
-// paper's width. The Full/Incremental pair isolates partial rip-up: both
-// converge from the same starting point, so their ns_per_op ratio (and the
-// edges_ripped contrast in the bench-json provenance) is the incremental
-// saving.
-func benchRouteBusc(b *testing.B, incremental bool) {
+// BenchmarkRouteBuscIncremental times one converged pathfinder run on
+// busc at the paper's width.
+func BenchmarkRouteBuscIncremental(b *testing.B) {
 	spec := specNamed(b, "busc")
 	fab, ckt := synth(b, spec, spec.PaperIKMB)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Route(fab, ckt.Nets, Config{Incremental: incremental})
+		res, err := Route(fab, ckt.Nets, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -24,9 +21,6 @@ func benchRouteBusc(b *testing.B, incremental bool) {
 		}
 	}
 }
-
-func BenchmarkRouteBuscFull(b *testing.B)        { benchRouteBusc(b, false) }
-func BenchmarkRouteBuscIncremental(b *testing.B) { benchRouteBusc(b, true) }
 
 // TestRouteAllocsBounded pins the per-run pooling: workers, overlays and
 // reconnect buffers are acquired once per run and reused by every
@@ -45,11 +39,11 @@ func TestRouteAllocsBounded(t *testing.T) {
 	spec := specNamed(t, "term1")
 	fab, ckt := synth(t, spec, spec.PaperIKMB)
 	// Warm the shared scratch pool so the measurement sees steady state.
-	if _, err := Route(fab, ckt.Nets, Config{Workers: 1, Incremental: true}); err != nil {
+	if _, err := Route(fab, ckt.Nets, Config{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		res, err := Route(fab, ckt.Nets, Config{Workers: 1, Incremental: true})
+		res, err := Route(fab, ckt.Nets, Config{Workers: 1})
 		if err != nil || !res.Converged {
 			t.Fatalf("route failed: %v (converged=%v)", err, res != nil && res.Converged)
 		}

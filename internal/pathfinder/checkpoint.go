@@ -20,13 +20,13 @@ import (
 // the next rip-up set, and the polish flags). Everything else is derived —
 // usage is an integer recount over the trees, the shared price array is a
 // pure function of hist/usage/presFac, presFac a pure function of the
-// iteration number, and the incremental-mode active set is reconstructible
-// as every resource with non-zero usage or history (resources outside it
-// provably price to zero, see incremental.go). Worker scratch is rebuilt
-// per run and never part of the contract. The parity suite asserts that
-// interrupting at any checkpoint boundary and resuming reproduces the
-// uninterrupted run's trees, history trajectory, and counters bit for bit
-// across Workers settings.
+// iteration number, and the delta bookkeeping's active set is
+// reconstructible as every resource with non-zero usage or history
+// (resources outside it provably price to zero, see incremental.go).
+// Worker scratch is rebuilt per run and never part of the contract. The
+// parity suite asserts that interrupting at any checkpoint boundary and
+// resuming reproduces the uninterrupted run's trees, history trajectory,
+// and counters bit for bit across Workers settings.
 //
 // Serialization: the struct is plain JSON. Go's encoding/json emits the
 // shortest float64 representation that round-trips exactly, so history
@@ -41,8 +41,8 @@ type Checkpoint struct {
 	// Iteration is the number of completed iterations; a resumed run
 	// continues at Iteration+1.
 	Iteration int `json:"iteration"`
-	// Polished and ForceSeq carry the incremental-mode polish-pass state
-	// machine across the boundary.
+	// Polished and ForceSeq carry the polish-pass state machine across the
+	// boundary.
 	Polished bool `json:"polished,omitempty"`
 	ForceSeq bool `json:"force_seq,omitempty"`
 	// Hist is the per-resource history price array (the Lagrange
@@ -61,14 +61,14 @@ type Checkpoint struct {
 	EdgesRipped         int64 `json:"edges_ripped,omitempty"`
 	EdgesRetained       int64 `json:"edges_retained,omitempty"`
 	IncrementalReroutes int64 `json:"incremental_reroutes,omitempty"`
-	// Compatibility guards: a resume against a different circuit, fabric,
-	// algorithm, mode, or jitter seed is rejected instead of silently
-	// producing garbage.
+	// Compatibility guards: a resume against a different circuit, fabric
+	// or algorithm is rejected instead of silently producing garbage.
+	// Incremental is always true; a false value marks a checkpoint of the
+	// retired full-rip mode, whose state this engine cannot continue.
 	Nets        int    `json:"nets"`
 	Resources   int    `json:"resources"`
 	Algorithm   string `json:"algorithm"`
 	Incremental bool   `json:"incremental"`
-	Seed        uint64 `json:"seed"`
 }
 
 // snapshot captures the engine state after iteration iter completed and
@@ -92,8 +92,7 @@ func (e *engine) snapshot(iter int, res *Result, reroute []int32, polished, forc
 		Nets:                len(e.nets),
 		Resources:           len(e.hist),
 		Algorithm:           e.cfg.Algorithm,
-		Incremental:         e.inc != nil,
-		Seed:                e.cfg.Seed,
+		Incremental:         true,
 	}
 }
 
@@ -118,10 +117,12 @@ func (e *engine) maybeCheckpoint(iter int, res *Result, reroute []int32, polishe
 	fn(e.snapshot(iter, res, reroute, polished, forceSeq))
 }
 
-// ErrBadCheckpoint reports a checkpoint whose framing and shape guards pass
-// but whose contents cannot belong to any run: a tree edge or rip-up index
-// out of range, or a history price that is negative or not finite.
-var ErrBadCheckpoint = errors.New("pathfinder: bad checkpoint contents")
+// ErrBadCheckpoint reports a checkpoint this run cannot resume from: one
+// written for a different circuit, fabric, algorithm or rip-up mode, or
+// whose contents cannot belong to any run (a tree edge or rip-up index out
+// of range, a history price that is negative or not finite). Every restore
+// rejection wraps it, so a caller can drop the checkpoint and start over.
+var ErrBadCheckpoint = errors.New("pathfinder: bad checkpoint")
 
 // checkContents validates everything restore and the resumed loop index
 // by, before any engine state is touched, so a corrupt checkpoint returns
@@ -148,25 +149,23 @@ func (e *engine) checkContents(ck *Checkpoint) error {
 }
 
 // restore rebuilds the engine's iteration state from ck: history prices
-// and trees verbatim, usage by the same integer recount the reduce runs,
-// the incremental active set from the usage/history support, and the
-// Result accumulators so final totals match the uninterrupted run.
+// and trees verbatim, usage by an integer recount over the trees, the
+// active set from the usage/history support, and the Result accumulators
+// so final totals match the uninterrupted run.
 func (e *engine) restore(ck *Checkpoint, res *Result) error {
 	switch {
 	case ck.Iteration < 1:
-		return fmt.Errorf("pathfinder: checkpoint has no completed iteration (%d)", ck.Iteration)
+		return fmt.Errorf("%w: no completed iteration (%d)", ErrBadCheckpoint, ck.Iteration)
 	case ck.Nets != len(e.nets) || len(ck.Trees) != len(e.nets):
-		return fmt.Errorf("pathfinder: checkpoint covers %d nets (trees %d), run has %d", ck.Nets, len(ck.Trees), len(e.nets))
+		return fmt.Errorf("%w: covers %d nets (trees %d), run has %d", ErrBadCheckpoint, ck.Nets, len(ck.Trees), len(e.nets))
 	case ck.Resources != len(e.hist) || len(ck.Hist) != len(e.hist):
-		return fmt.Errorf("pathfinder: checkpoint covers %d resources (hist %d), fabric has %d", ck.Resources, len(ck.Hist), len(e.hist))
+		return fmt.Errorf("%w: covers %d resources (hist %d), fabric has %d", ErrBadCheckpoint, ck.Resources, len(ck.Hist), len(e.hist))
 	case ck.Algorithm != e.cfg.Algorithm:
-		return fmt.Errorf("pathfinder: checkpoint algorithm %q, run configured %q", ck.Algorithm, e.cfg.Algorithm)
-	case ck.Incremental != (e.inc != nil):
-		return fmt.Errorf("pathfinder: checkpoint incremental=%v, run configured %v", ck.Incremental, e.inc != nil)
-	case ck.Seed != e.cfg.Seed:
-		return fmt.Errorf("pathfinder: checkpoint seed %d, run configured %d", ck.Seed, e.cfg.Seed)
+		return fmt.Errorf("%w: algorithm %q, run configured %q", ErrBadCheckpoint, ck.Algorithm, e.cfg.Algorithm)
+	case !ck.Incremental:
+		return fmt.Errorf("%w: written by the retired full-rip mode", ErrBadCheckpoint)
 	case len(ck.History) != ck.Iteration:
-		return fmt.Errorf("pathfinder: checkpoint history has %d entries for %d iterations", len(ck.History), ck.Iteration)
+		return fmt.Errorf("%w: history has %d entries for %d iterations", ErrBadCheckpoint, len(ck.History), ck.Iteration)
 	}
 	if err := e.checkContents(ck); err != nil {
 		return err
@@ -185,16 +184,14 @@ func (e *engine) restore(ck *Checkpoint, res *Result) error {
 			e.usage[r]++
 		}
 	}
-	if e.inc != nil {
-		// Reconstruct the active set from its support: every resource some
-		// tree uses or with accumulated history. Activation order differs
-		// from the original run, but only write order depends on it — the
-		// price arrays and the ascending activeEdges index come out
-		// identical (see the incremental.go invariants).
-		for r := range e.usage {
-			if e.usage[r] > 0 || e.hist[r] != 0 {
-				e.activateRes(int32(r))
-			}
+	// Reconstruct the active set from its support: every resource some
+	// tree uses or with accumulated history. Activation order differs from
+	// the original run, but only write order depends on it — the price
+	// arrays and the ascending activeEdges index come out identical (see
+	// the incremental.go invariants).
+	for r := range e.usage {
+		if e.usage[r] > 0 || e.hist[r] != 0 {
+			e.activateRes(int32(r))
 		}
 	}
 	res.Iterations = ck.Iteration

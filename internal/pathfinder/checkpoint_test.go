@@ -12,8 +12,8 @@ import (
 // The checkpoint/resume parity suite: a run interrupted at ANY checkpoint
 // boundary and resumed — including through a JSON round trip, the on-disk
 // path — must finish bit-identical to the uninterrupted run, at every
-// Workers setting and in both full and incremental rip-up modes. This is
-// the contract the service's crash recovery stands on.
+// Workers setting. This is the contract the service's crash recovery
+// stands on.
 
 // captureAll runs the fixture to completion while collecting a checkpoint
 // at every iteration boundary, returning the checkpoints and the
@@ -80,27 +80,29 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestCheckpointResumeParity: resume from every captured checkpoint, for
-// Workers ∈ {1, 4} × Incremental ∈ {off, on}, and require the resumed
-// Result bit-identical to the uninterrupted run. The checkpoint is pushed
-// through a JSON round trip first — exactly what the service's on-disk
-// checkpoint store does.
+// Workers ∈ {1, 4}, and require the resumed Result bit-identical to the
+// uninterrupted run. The checkpoint is pushed through a JSON round trip
+// first — exactly what the service's on-disk checkpoint store does. The
+// -inc rows set Config.Incremental, the field that once selected this mode
+// and now has no effect; callers that still set it must capture and resume
+// the same way.
 func TestCheckpointResumeParity(t *testing.T) {
 	spec := specNamed(t, "term1")
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"w1", Config{Workers: 1, Seed: 7}},
-		{"w4", Config{Workers: 4, Seed: 7}},
-		{"w1-inc", Config{Workers: 1, Seed: 7, Incremental: true}},
-		{"w4-inc", Config{Workers: 4, Seed: 7, Incremental: true}},
+		{"w1", Config{Workers: 1}},
+		{"w4", Config{Workers: 4}},
+		{"w1-inc", Config{Workers: 1, Incremental: true}},
+		{"w4-inc", Config{Workers: 4, Incremental: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cks, want := captureAll(t, tc.cfg)
 			// Every boundary is the real contract, but under -short (the CI
-			// race matrix) resuming from ~30 checkpoints × 4 configs is the
-			// suite's long pole: sample first, middle, and last. The CI
-			// crash-recovery job runs the exhaustive variant without -short.
+			// race matrix) resuming from every checkpoint is the suite's long
+			// pole: sample first, middle, and last. The CI crash-recovery job
+			// runs the exhaustive variant without -short.
 			if testing.Short() && len(cks) > 3 {
 				cks = []*Checkpoint{cks[0], cks[len(cks)/2], cks[len(cks)-1]}
 			}
@@ -131,11 +133,11 @@ func TestCheckpointResumeParity(t *testing.T) {
 // worker-count-invariance contract extends across the checkpoint boundary.
 func TestCheckpointResumeCrossWorkers(t *testing.T) {
 	spec := specNamed(t, "term1")
-	cks, want := captureAll(t, Config{Workers: 1, Seed: 7})
+	cks, want := captureAll(t, Config{Workers: 1})
 	mid := cks[len(cks)/2]
 	for _, w := range []int{1, 4} {
 		fab, ckt := synth(t, spec, spec.PaperIKMB)
-		got, err := Route(fab, ckt.Nets, Config{Workers: w, Seed: 7, Resume: mid})
+		got, err := Route(fab, ckt.Nets, Config{Workers: w, Resume: mid})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +150,11 @@ func TestCheckpointResumeCrossWorkers(t *testing.T) {
 func TestCheckpointEmissionIsTransparent(t *testing.T) {
 	spec := specNamed(t, "term1")
 	fab, ckt := synth(t, spec, spec.PaperIKMB)
-	plain, err := Route(fab, ckt.Nets, Config{Workers: 4, Seed: 7})
+	plain, err := Route(fab, ckt.Nets, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, withCk := captureAll(t, Config{Workers: 4, Seed: 7})
+	_, withCk := captureAll(t, Config{Workers: 4})
 	assertSameResult(t, "checkpointing-on", withCk, plain)
 }
 
@@ -164,7 +166,6 @@ func TestCheckpointCadence(t *testing.T) {
 	var iters []int
 	res, err := Route(fab, ckt.Nets, Config{
 		Workers:         2,
-		Seed:            7,
 		CheckpointEvery: 3,
 		CheckpointFn:    func(ck *Checkpoint) { iters = append(iters, ck.Iteration) },
 	})
@@ -186,34 +187,34 @@ func TestCheckpointCadence(t *testing.T) {
 
 // TestCheckpointResumeGuards: incompatible checkpoints are rejected with an
 // error, never silently resumed. Checkpoints that pass the shape guards but
-// carry impossible contents (the last three cases) fail with an error
-// wrapping ErrBadCheckpoint instead of panicking inside restore.
+// carry impossible contents (the last three cases) fail the same way
+// instead of panicking inside restore. Every rejection wraps
+// ErrBadCheckpoint, so a caller can tell "start over" from a routing
+// failure.
 func TestCheckpointResumeGuards(t *testing.T) {
 	spec := specNamed(t, "term1")
-	cks, _ := captureAll(t, Config{Workers: 1, Seed: 7})
+	cks, _ := captureAll(t, Config{Workers: 1})
 	base := cks[0]
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Checkpoint)
 		cfg    Config
-		bad    bool // contents check: the error must wrap ErrBadCheckpoint
 	}{
-		{"seed", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 8}, false},
-		{"incremental", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 7, Incremental: true}, false},
-		{"algorithm", func(ck *Checkpoint) {}, Config{Workers: 1, Seed: 7, Algorithm: AlgKMB}, false},
-		{"nets", func(ck *Checkpoint) { ck.Nets++ }, Config{Workers: 1, Seed: 7}, false},
-		{"resources", func(ck *Checkpoint) { ck.Resources++ }, Config{Workers: 1, Seed: 7}, false},
-		{"history", func(ck *Checkpoint) { ck.History = ck.History[:0] }, Config{Workers: 1, Seed: 7}, false},
-		{"iteration", func(ck *Checkpoint) { ck.Iteration = 0 }, Config{Workers: 1, Seed: 7}, false},
+		{"incremental", func(ck *Checkpoint) { ck.Incremental = false }, Config{Workers: 1}},
+		{"algorithm", func(ck *Checkpoint) {}, Config{Workers: 1, Algorithm: AlgKMB}},
+		{"nets", func(ck *Checkpoint) { ck.Nets++ }, Config{Workers: 1}},
+		{"resources", func(ck *Checkpoint) { ck.Resources++ }, Config{Workers: 1}},
+		{"history", func(ck *Checkpoint) { ck.History = ck.History[:0] }, Config{Workers: 1}},
+		{"iteration", func(ck *Checkpoint) { ck.Iteration = 0 }, Config{Workers: 1}},
 		{"edge-range", func(ck *Checkpoint) {
 			ck.Trees = slices.Clone(ck.Trees)
 			ck.Trees[0].Edges = append(slices.Clone(ck.Trees[0].Edges), 1<<30)
-		}, Config{Workers: 1, Seed: 7}, true},
-		{"reroute-range", func(ck *Checkpoint) { ck.Reroute = append(slices.Clone(ck.Reroute), int32(ck.Nets)) }, Config{Workers: 1, Seed: 7}, true},
+		}, Config{Workers: 1}},
+		{"reroute-range", func(ck *Checkpoint) { ck.Reroute = append(slices.Clone(ck.Reroute), int32(ck.Nets)) }, Config{Workers: 1}},
 		{"hist-finite", func(ck *Checkpoint) {
 			ck.Hist = slices.Clone(ck.Hist)
 			ck.Hist[len(ck.Hist)/2] = math.NaN()
-		}, Config{Workers: 1, Seed: 7}, true},
+		}, Config{Workers: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ck := *base
@@ -225,8 +226,8 @@ func TestCheckpointResumeGuards(t *testing.T) {
 			if err == nil {
 				t.Fatal("incompatible checkpoint resumed without error")
 			}
-			if errors.Is(err, ErrBadCheckpoint) != tc.bad {
-				t.Fatalf("err = %v; wraps ErrBadCheckpoint = %v, want %v", err, !tc.bad, tc.bad)
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("err = %v, want one wrapping ErrBadCheckpoint", err)
 			}
 		})
 	}

@@ -6,14 +6,14 @@ import (
 	"fpgarouter/internal/graph"
 )
 
-// This file is the incremental rip-up-and-reroute machinery behind
-// Config.Incremental: partial tree reuse (reconnect), delta usage
-// accounting (reduceDelta) and delta repricing (repriceDelta). The
-// full-rebuild paths in pathfinder.go remain the semantic oracle — the
-// parity suite asserts the delta bookkeeping reproduces their usage,
-// history and priced-edge arrays bit for bit after every iteration.
+// This file is the incremental rip-up-and-reroute machinery: partial tree
+// reuse (reconnect), delta usage accounting (reduceDelta) and delta
+// repricing (repriceDelta). The parity suite recomputes the usage and
+// price state from scratch after every iteration and asserts the delta
+// bookkeeping reproduces it bit for bit.
 //
-// Invariants the delta bookkeeping maintains:
+// Invariants the delta bookkeeping (the engine's resActive … havePres
+// fields) maintains:
 //
 //   - usage[r] equals the full recount over all trees: reduceDelta applies
 //     −1 for each distinct resource of a rerouted net's old tree and +1
@@ -24,26 +24,14 @@ import (
 //     resources provably have hist = usage = 0, so their edges' shared
 //     price is 0 without ever being written.
 //   - activeEdges is the ascending-edge-ID list of all active resources'
-//     edges; filtering it by price ≠ 0 reproduces the full reprice's
-//     priced list exactly (any edge with a non-zero price belongs to a
-//     resource with hist > 0 or usage > 0, which is active).
+//     edges; filtering it by price ≠ 0 yields exactly the edges whose
+//     price is non-zero (any such edge belongs to a resource with
+//     hist > 0 or usage > 0, which is active).
 //   - touched marks resources whose usage or history changed since the
 //     last reprice; when the present factor is unchanged, only their edges
 //     need rewriting. A present-factor change rewrites every active
 //     resource (the presFac·usage term moved everywhere usage > 0, and
 //     rewriting the rest is harmless).
-type incState struct {
-	resActive   []bool         // resource → has ever been used by a tree
-	activeRes   []int32        // activation-ordered list of active resources
-	activeEdges []graph.EdgeID // ascending edge IDs of active resources
-	newActive   []graph.EdgeID // edges activated since the last reprice
-	mergeBuf    []graph.EdgeID // spare buffer for the sorted merge
-	touchedMark []bool         // resource → in touched since last reprice
-	touched     []int32        // resources with changed usage or history
-	prevSnap    []graph.Tree   // rerouted nets' old trees, one iteration
-	lastPres    float64        // present factor of the last reprice
-	havePres    bool
-}
 
 // debugHooks exposes the engine to in-package tests at the two points
 // where the delta bookkeeping must agree with a from-scratch rebuild.
@@ -55,33 +43,34 @@ type debugHooks struct {
 
 // touchRes marks r's usage or history as changed since the last reprice.
 func (e *engine) touchRes(r int32) {
-	if !e.inc.touchedMark[r] {
-		e.inc.touchedMark[r] = true
-		e.inc.touched = append(e.inc.touched, r)
+	if !e.touchedMark[r] {
+		e.touchedMark[r] = true
+		e.touched = append(e.touched, r)
 	}
 }
 
 // activateRes brings r into the priced universe the first time a tree
 // uses it, queueing its edges for the sorted activeEdges merge.
 func (e *engine) activateRes(r int32) {
-	if !e.inc.resActive[r] {
-		e.inc.resActive[r] = true
-		e.inc.activeRes = append(e.inc.activeRes, r)
-		e.inc.newActive = append(e.inc.newActive, e.resEdges(r)...)
+	if !e.resActive[r] {
+		e.resActive[r] = true
+		e.activeRes = append(e.activeRes, r)
+		e.newActive = append(e.newActive, e.resEdges(r)...)
 	}
 }
 
-// repriceDelta is the incremental reprice: instead of recomputing every
-// edge's price, it rewrites only the edges of touched resources (or of all
-// active resources when the present factor moved) and rebuilds the priced
-// list by filtering the sorted active-edge index. Produces bit-identical
-// sharedPrice and priced arrays to reprice (same arithmetic expression,
-// same inputs, same list order).
+// repriceDelta freezes this iteration's shared per-edge price array,
+// hist[res] + presFac·usage[res], and the priced edge list (ascending edge
+// ID, every edge with a non-zero price) that workers perturb and restore
+// per net. Instead of recomputing every edge's price, it rewrites only the
+// edges of touched resources (or of all active resources when the present
+// factor moved) and rebuilds the priced list by filtering the sorted
+// active-edge index.
 func (e *engine) repriceDelta(presFac float64) {
-	if len(e.inc.newActive) > 0 {
-		slices.Sort(e.inc.newActive)
-		merged := e.inc.mergeBuf[:0]
-		a, b := e.inc.activeEdges, e.inc.newActive
+	if len(e.newActive) > 0 {
+		slices.Sort(e.newActive)
+		merged := e.mergeBuf[:0]
+		a, b := e.activeEdges, e.newActive
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
 			if a[i] < b[j] {
@@ -94,49 +83,50 @@ func (e *engine) repriceDelta(presFac float64) {
 		}
 		merged = append(merged, a[i:]...)
 		merged = append(merged, b[j:]...)
-		e.inc.activeEdges, e.inc.mergeBuf = merged, a[:0]
-		e.inc.newActive = e.inc.newActive[:0]
+		e.activeEdges, e.mergeBuf = merged, a[:0]
+		e.newActive = e.newActive[:0]
 	}
-	if !e.inc.havePres || presFac != e.inc.lastPres {
-		for _, r := range e.inc.activeRes {
+	if !e.havePres || presFac != e.lastPres {
+		for _, r := range e.activeRes {
 			p := e.hist[r] + presFac*float64(e.usage[r])
 			for _, id := range e.resEdges(r) {
 				e.sharedPrice[id] = p
 			}
 		}
 	} else {
-		for _, r := range e.inc.touched {
+		for _, r := range e.touched {
 			p := e.hist[r] + presFac*float64(e.usage[r])
 			for _, id := range e.resEdges(r) {
 				e.sharedPrice[id] = p
 			}
 		}
 	}
-	e.inc.lastPres, e.inc.havePres = presFac, true
-	for _, r := range e.inc.touched {
-		e.inc.touchedMark[r] = false
+	e.lastPres, e.havePres = presFac, true
+	for _, r := range e.touched {
+		e.touchedMark[r] = false
 	}
-	e.inc.touched = e.inc.touched[:0]
+	e.touched = e.touched[:0]
 	e.priced = e.priced[:0]
-	for _, id := range e.inc.activeEdges {
+	for _, id := range e.activeEdges {
 		if e.sharedPrice[id] != 0 {
 			e.priced = append(e.priced, id)
 		}
 	}
 }
 
-// reduceDelta is the incremental reduce: usage moves only by the rerouted
-// nets' old-tree/new-tree deltas (usageLive skips even that — the
-// Gauss-Seidel pass already adjusted usage net by net). The overflow count,
-// sub-gradient history update and HistSum sweep are unchanged from reduce —
-// they are O(resources), cheap, and running the identical statements in the
-// identical order keeps hist and the IterStats bit-equal to the oracle.
+// reduceDelta updates per-resource usage and applies the sub-gradient
+// step hist[r] += histStep·(usage[r]−1) on every overcapacity resource.
+// Usage moves only by the rerouted nets' old-tree/new-tree deltas
+// (usageLive skips even that — the Gauss-Seidel pass already adjusted
+// usage net by net); counts are integers, so the result is independent of
+// which worker routed which net. The overflow count, history update and
+// HistSum sweep walk every resource — O(resources) and cheap.
 func (e *engine) reduceDelta(list []int32, usageLive bool) (overflow, priceUpdates int, histSum float64) {
 	var walked int64
 	if !usageLive {
 		for i, i32 := range list {
 			idx := int(i32)
-			old := e.inc.prevSnap[i]
+			old := e.prevSnap[i]
 			e.ep++
 			for _, id := range old.Edges {
 				r := e.edgeRes[id]
@@ -159,7 +149,7 @@ func (e *engine) reduceDelta(list []int32, usageLive bool) (overflow, priceUpdat
 				e.activateRes(r)
 			}
 			walked += int64(len(old.Edges) + len(e.trees[idx].Edges))
-			e.inc.prevSnap[i] = graph.Tree{}
+			e.prevSnap[i] = graph.Tree{}
 		}
 	}
 	// Delta-reduce savings: the full recount walks every tree's edges; the
@@ -174,7 +164,7 @@ func (e *engine) reduceDelta(list []int32, usageLive bool) (overflow, priceUpdat
 	for r, u := range e.usage {
 		if u > 1 {
 			overflow++
-			e.hist[r] += e.cfg.HistStep * float64(u-1)
+			e.hist[r] += histStep * float64(u-1)
 			priceUpdates++
 			e.touchRes(int32(r))
 		}

@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"fpgarouter/internal/graph"
-	"fpgarouter/internal/stats"
 )
 
-// TestIncrementalParityWithFullBookkeeping runs the incremental engine with
-// debug hooks that rebuild the pricing and usage state from scratch after
-// every reprice and reduce, asserting the delta bookkeeping is bit-equal to
-// the full-rebuild oracle: the sharedPrice array, the priced-edge list
-// (contents and order), the usage recount, and the history prices. CI runs
-// this under -race at Workers 1 and 4.
+// TestIncrementalParityWithFullBookkeeping runs the engine with debug hooks
+// that rebuild the pricing and usage state from scratch after every
+// reprice and reduce, asserting the delta bookkeeping is bit-equal to the
+// full-rebuild oracle: the sharedPrice array, the priced-edge list
+// (contents and order), and the usage recount. CI runs this under -race at
+// Workers 1 and 4.
 func TestIncrementalParityWithFullBookkeeping(t *testing.T) {
 	names := []string{"term1", "9symml"}
 	if testing.Short() {
@@ -70,7 +69,7 @@ func TestIncrementalParityWithFullBookkeeping(t *testing.T) {
 						}
 					},
 				}
-				res, err := Route(fab, ckt.Nets, Config{Incremental: true, Workers: workers, hooks: hooks})
+				res, err := Route(fab, ckt.Nets, Config{Workers: workers, hooks: hooks})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,63 +84,35 @@ func TestIncrementalParityWithFullBookkeeping(t *testing.T) {
 	}
 }
 
-// TestIncrementalConvergesPaperCircuits: partial rip-up must still reach
-// zero overflow at the paper widths, produce valid trees, and actually
-// retain fragments (otherwise it silently degraded to full reroute).
+// TestIncrementalConvergesPaperCircuits: partial rip-up must reach zero
+// overflow at the paper widths, produce valid trees, and actually retain
+// fragments (otherwise it silently degraded to full reroute). It shares
+// TestConvergesPaperCircuits' circuit list and runs, so the CI sweep
+// asserts both on all fourteen circuits without routing any twice.
 func TestIncrementalConvergesPaperCircuits(t *testing.T) {
-	names := []string{"busc", "term1", "9symml", "apex7"}
-	if testing.Short() {
-		names = []string{"term1", "9symml"}
-	}
-	for _, name := range names {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, spec := range paperSpecs(t) {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			spec := specNamed(t, name)
-			fab, ckt := synth(t, spec, spec.PaperIKMB)
-			res, err := Route(fab, ckt.Nets, Config{Incremental: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Fatalf("no convergence at width %d: %d overflowed resources after %d iterations",
-					spec.PaperIKMB, res.Overflow, res.Iterations)
-			}
-			g := fab.Graph()
-			for i, net := range ckt.Nets {
-				terms := make([]graph.NodeID, len(net.Pins))
-				for j, p := range net.Pins {
-					terms[j] = fab.PinNode(p)
-				}
-				if err := graph.ValidateTree(g, res.Trees[i], terms); err != nil {
-					t.Fatalf("net %d: %v", i, err)
-				}
-			}
+			res, _ := routeShared(t, spec, 0)
+			assertConverged(t, spec, res)
 			if res.EdgesRetained == 0 {
-				t.Fatal("incremental run retained zero edges: partial rip-up never engaged")
+				t.Fatal("run retained zero edges: partial rip-up never engaged")
 			}
 		})
 	}
 }
 
 // TestIncrementalWorkerParityAcrossCounts extends the determinism contract
-// to incremental mode: trees, iteration history and the rip-up accounting
-// (ripped/retained/reconnect totals) are bit-identical at every worker
+// to the rip-up accounting: trees, iteration history and the
+// ripped/retained/reconnect totals are bit-identical at every worker
 // count, because rip decisions read only the frozen usage array and the
 // counters are order-free integer sums drained after the barrier.
 func TestIncrementalWorkerParityAcrossCounts(t *testing.T) {
 	spec := specNamed(t, "term1")
-	var want *Result
-	for _, workers := range []int{1, 2, 4, 8} {
-		fab, ckt := synth(t, spec, spec.PaperIKMB)
-		res, err := Route(fab, ckt.Nets, Config{Workers: workers, Incremental: true})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want == nil {
-			want = res
-			continue
-		}
+	want, _ := routeShared(t, spec, 1)
+	for _, workers := range []int{2, 4, 8} {
+		res, _ := routeShared(t, spec, workers)
 		if res.Iterations != want.Iterations || res.Converged != want.Converged {
 			t.Fatalf("workers=%d: %d iterations (converged=%v), workers=1 had %d (converged=%v)",
 				workers, res.Iterations, res.Converged, want.Iterations, want.Converged)
@@ -172,14 +143,7 @@ func TestIncrementalWorkerParityAcrossCounts(t *testing.T) {
 // TestIncrementalStatsCounters: the observability layer sees the same
 // rip-up accounting the Result reports, plus the delta-reduce savings.
 func TestIncrementalStatsCounters(t *testing.T) {
-	spec := specNamed(t, "term1")
-	fab, ckt := synth(t, spec, spec.PaperIKMB)
-	col := stats.New()
-	res, err := Route(fab, ckt.Nets, Config{Incremental: true, Stats: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := col.Snapshot()
+	res, snap := routeShared(t, specNamed(t, "term1"), 0)
 	if snap.IncrementalReroutes != res.IncrementalReroutes {
 		t.Fatalf("collector saw %d reconnects, result says %d", snap.IncrementalReroutes, res.IncrementalReroutes)
 	}
@@ -189,23 +153,5 @@ func TestIncrementalStatsCounters(t *testing.T) {
 	}
 	if snap.ReduceEdgesSkipped == 0 {
 		t.Fatal("delta reduce recorded no skipped edges")
-	}
-}
-
-// TestFullModeRipAccounting: full-reroute mode reports every previous-tree
-// edge as ripped with zero retained — the contrast the benchmarks print.
-func TestFullModeRipAccounting(t *testing.T) {
-	spec := specNamed(t, "term1")
-	fab, ckt := synth(t, spec, spec.PaperIKMB)
-	res, err := Route(fab, ckt.Nets, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EdgesRipped == 0 {
-		t.Fatal("full mode recorded no ripped edges despite rerouting contested nets")
-	}
-	if res.EdgesRetained != 0 || res.IncrementalReroutes != 0 {
-		t.Fatalf("full mode reports %d retained edges and %d reconnects; both must be zero",
-			res.EdgesRetained, res.IncrementalReroutes)
 	}
 }

@@ -16,13 +16,18 @@
 //
 //	base + hist[res(e)] + presFac_k·usage[res(e)] − ownShare + jitter
 //
-// where hist accumulates HistStep·(usage−1) on every overflowed resource
+// where hist accumulates histStep·(usage−1) on every overflowed resource
 // (monotone non-decreasing — the Lagrangian multiplier), the present-
 // sharing term prices last iteration's usage with a geometrically growing
 // presFac, ownShare removes the net's own contribution so an uncontested
 // net keeps its tree, and jitter is a deterministic per-(net, edge)
-// tie-break of relative size JitterEps that stops symmetric nets from
+// tie-break of relative size jitterEps that stops symmetric nets from
 // ping-ponging between equal-cost alternatives in lockstep.
+//
+// Rip-up is always partial: a contested net keeps the fragment of its
+// previous tree that touches no overflowed resource and reconnects only
+// its orphaned pins, while reduce and reprice run as deltas over the
+// changed state (see incremental.go).
 //
 // Determinism contract: a net's route is a pure function of the frozen
 // graph, the iteration's shared prices, the net's own previous tree, and
@@ -30,13 +35,12 @@
 // shared prices into a private overlay once per iteration and restore the
 // entries they perturb after every net; the reduce walks nets in index
 // order using integer usage counts. Results are therefore bit-identical
-// for a fixed Config.Seed across every Workers setting (asserted under
-// -race by the router's pathfinder parity suite).
+// across every Workers setting (asserted under -race by the pathfinder
+// parity suite).
 package pathfinder
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -63,9 +67,53 @@ const (
 // maxWorkers caps the default net-routing fan-out.
 const maxWorkers = 8
 
+// Negotiation constants. The defaults 0.4/1/2/16 are the fastest of the
+// stable pricing settings sweeps found (DESIGN.md §7); no caller tunes them.
+const (
+	// histStep is the sub-gradient step: every iteration adds
+	// histStep·(usage−1) to each overflowed resource's history price.
+	// Steps of 1 and more diverge: large permanent price steps poison
+	// whole regions.
+	histStep = 0.4
+	// presFirst is the first priced iteration's present-sharing factor;
+	// presMult grows it geometrically per iteration.
+	presFirst = 1.0
+	presMult  = 2.0
+	// presMax caps the present factor: unbounded growth would eventually
+	// dwarf the base geometry and the jitter (which scales with the present
+	// factor) would randomize late-iteration routes. Once the cap is
+	// reached the monotone history prices carry the pressure.
+	presMax = 16.0
+	// seqBelow is the Gauss-Seidel cutover: once the contested set is at
+	// most seqBelow nets, iterations route it sequentially in net-index
+	// order against LIVE usage pricing instead of fanning out against
+	// frozen prices. Frozen-price (Jacobi) iterations resolve small
+	// standoffs slowly — two nets sharing one wire each gain only
+	// histStep of pressure per iteration — while the sequential pass
+	// settles them immediately: the first net keeps the resource at its
+	// now-unshared price, the second sees the full present penalty and
+	// detours. The cutover depends only on the contested count, so
+	// results stay worker-count invariant.
+	seqBelow = 8
+	// seqAfter bounds the frozen-price (Jacobi) phase: past this iteration
+	// every contested set is routed sequentially, whatever its size. Jacobi
+	// fan-out collapses congestion fast while the contested set is large,
+	// but on the hardest instances it plateaus — rival nets keep swapping
+	// between the same wires under prices that only move between
+	// iterations — and the live-priced Gauss-Seidel pass is what actually
+	// finishes the negotiation. The trigger depends only on the iteration
+	// number, so results stay worker-count invariant.
+	seqAfter = 48
+	// jitterEps scales the deterministic per-(net, edge) tie-break noise,
+	// relative to the current present factor.
+	jitterEps = 1e-3
+	// jitterSeed seeds the jitter hash. The stream is fixed, so results
+	// are bit-identical run to run.
+	jitterSeed uint64 = 0
+)
+
 // Config parameterizes a pathfinder run. The zero value is completed by
-// defaults: IKMB, GOMAXPROCS workers (capped at 8), 96 iterations,
-// HistStep 0.4, PresFac 1 growing ×2 per iteration capped at 16, jitter 1e-3.
+// defaults: IKMB, GOMAXPROCS workers (capped at 8), 96 iterations.
 type Config struct {
 	// Algorithm selects the per-net construction (AlgIKMB default, AlgKMB).
 	Algorithm string
@@ -83,54 +131,11 @@ type Config struct {
 	SingleStep bool
 	// Lazy enables the lazy-greedy candidate scan inside IKMB.
 	Lazy bool
-	// HistStep is the sub-gradient step: every iteration adds
-	// HistStep·(usage−1) to each overflowed resource's history price.
-	HistStep float64
-	// PresFac is the first priced iteration's present-sharing factor.
-	PresFac float64
-	// PresMult grows PresFac geometrically per iteration.
-	PresMult float64
-	// PresMax caps the present factor (default 16): unbounded growth would
-	// eventually dwarf the base geometry and the jitter (which scales with
-	// the present factor) would randomize late-iteration routes. Once the
-	// cap is reached the monotone history prices carry the pressure.
-	PresMax float64
-	// SeqBelow is the Gauss-Seidel cutover: once the contested set is at
-	// most SeqBelow nets, iterations route it sequentially in net-index
-	// order against LIVE usage pricing instead of fanning out against
-	// frozen prices. Frozen-price (Jacobi) iterations resolve small
-	// standoffs slowly — two nets sharing one wire each gain only
-	// HistStep of pressure per iteration — while the sequential pass
-	// settles them immediately: the first net keeps the resource at its
-	// now-unshared price, the second sees the full present penalty and
-	// detours. The cutover depends only on the contested count, so
-	// results stay worker-count invariant (default 8; negative disables).
-	SeqBelow int
-	// SeqAfter bounds the frozen-price (Jacobi) phase: past this iteration
-	// every contested set is routed sequentially, whatever its size. Jacobi
-	// fan-out collapses congestion fast while the contested set is large,
-	// but on the hardest instances it plateaus — rival nets keep swapping
-	// between the same wires under prices that only move between
-	// iterations — and the live-priced Gauss-Seidel pass is what actually
-	// finishes the negotiation. The trigger depends only on the iteration
-	// number, so results stay worker-count invariant (default 48; negative
-	// disables the escalation).
-	SeqAfter int
-	// JitterEps scales the deterministic per-(net, edge) tie-break noise,
-	// relative to the current present factor. 0 selects the default (1e-3);
-	// negative disables jitter.
-	JitterEps float64
-	// Incremental enables partial rip-up-and-reroute in the frozen-price
-	// (Jacobi) iterations: a contested net keeps the fragment of its
-	// previous tree that touches no overflowed resource and reconnects its
-	// orphaned pins by multi-source search seeded from the fragment, while
-	// reduce and reprice run as deltas over only the changed state (see
-	// incremental.go). The Gauss-Seidel endgame still reroutes in full —
-	// its live pricing is what settles the last standoffs. Determinism is
-	// unchanged: results stay bit-identical across Workers settings.
+	// Incremental has no effect: partial rip-up is the engine's only mode.
+	// The field remains so existing callers keep compiling.
+	//
+	// Deprecated: leave unset.
 	Incremental bool
-	// Seed seeds the jitter hash; fixed seed ⇒ bit-identical results.
-	Seed uint64
 	// Stats receives iteration and per-net counters when non-nil.
 	Stats *stats.Collector
 	// Cancel, when non-nil, is polled at iteration boundaries; a non-nil
@@ -151,13 +156,13 @@ type Config struct {
 	// (0 disables the time trigger).
 	CheckpointPeriod time.Duration
 	// Resume restarts a run from a prior Checkpoint instead of iteration 1.
-	// The circuit, fabric, and deterministic Config knobs must match the
-	// checkpointed run (guarded fields are validated; an incompatible
-	// checkpoint fails the run). The resumed run's Result is bit-identical
-	// to the uninterrupted run's.
+	// The circuit, fabric and Algorithm must match the checkpointed run
+	// (guarded fields are validated; an incompatible checkpoint fails the
+	// run with an error wrapping ErrBadCheckpoint). The resumed run's
+	// Result is bit-identical to the uninterrupted run's.
 	Resume *Checkpoint
 	// hooks lets in-package tests observe the engine after each reprice and
-	// reduce — the incremental-vs-full parity suite. Always nil in
+	// reduce — the delta-vs-full bookkeeping parity suite. Always nil in
 	// production.
 	hooks *debugHooks
 }
@@ -177,36 +182,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIters <= 0 {
 		c.MaxIters = 96
-	}
-	if c.HistStep == 0 {
-		c.HistStep = 0.4
-	}
-	if c.PresFac == 0 {
-		c.PresFac = 1
-	}
-	if c.PresMult == 0 {
-		c.PresMult = 2
-	}
-	if c.PresMax == 0 {
-		c.PresMax = 16
-	}
-	switch {
-	case c.SeqBelow == 0:
-		c.SeqBelow = 8
-	case c.SeqBelow < 0:
-		c.SeqBelow = 0
-	}
-	switch {
-	case c.SeqAfter == 0:
-		c.SeqAfter = 48
-	case c.SeqAfter < 0:
-		c.SeqAfter = math.MaxInt
-	}
-	switch {
-	case c.JitterEps == 0:
-		c.JitterEps = 1e-3
-	case c.JitterEps < 0:
-		c.JitterEps = 0
 	}
 	return c
 }
@@ -238,8 +213,7 @@ type Result struct {
 	// exists): EdgesRipped counts previous-tree edges discarded before
 	// rerouting, EdgesRetained the edges kept by partial rip-up, and
 	// IncrementalReroutes the nets that reconnected from a retained
-	// fragment instead of rebuilding. Full-reroute mode rips everything, so
-	// it reports EdgesRipped with zero retained.
+	// fragment instead of rebuilding.
 	EdgesRipped         int64
 	EdgesRetained       int64
 	IncrementalReroutes int64
@@ -285,11 +259,22 @@ type engine struct {
 	// everything to the pools once per run instead of once per iteration.
 	workers []*worker
 
-	// inc is the incremental-mode delta state (nil when Config.Incremental
-	// is off); iterRipped/iterRetained/iterIncRe accumulate the current
-	// iteration's rip-up accounting (summed from workers after the barrier,
-	// so worker-count invariant).
-	inc        *incState
+	// Delta bookkeeping behind repriceDelta and reduceDelta (the
+	// invariants are documented in incremental.go).
+	resActive   []bool         // resource → has ever been used by a tree
+	activeRes   []int32        // activation-ordered list of active resources
+	activeEdges []graph.EdgeID // ascending edge IDs of active resources
+	newActive   []graph.EdgeID // edges activated since the last reprice
+	mergeBuf    []graph.EdgeID // spare buffer for the sorted merge
+	touchedMark []bool         // resource → in touched since last reprice
+	touched     []int32        // resources with changed usage or history
+	prevSnap    []graph.Tree   // rerouted nets' old trees, one iteration
+	lastPres    float64        // present factor of the last reprice
+	havePres    bool
+
+	// iterRipped/iterRetain/iterIncRe accumulate the current iteration's
+	// rip-up accounting (summed from workers after the barrier, so
+	// worker-count invariant).
 	iterRipped int64
 	iterRetain int64
 	iterIncRe  int64
@@ -355,12 +340,8 @@ func Route(fab *fpga.Fabric, nets []circuits.Net, cfg Config) (*Result, error) {
 	e.sharedPrice = make([]float64, g.NumEdges())
 	e.trees = make([]graph.Tree, len(nets))
 	e.resEp = make([]uint32, numRes)
-	if cfg.Incremental {
-		e.inc = &incState{
-			resActive:   make([]bool, numRes),
-			touchedMark: make([]bool, numRes),
-		}
-	}
+	e.resActive = make([]bool, numRes)
+	e.touchedMark = make([]bool, numRes)
 	return e.run()
 }
 
@@ -375,7 +356,7 @@ func (e *engine) run() (*Result, error) {
 	defer e.releaseWorkers()
 	res := &Result{Trees: e.trees}
 	reroute := make([]int32, 0, len(e.nets))
-	// Incremental mode ends with one polish pass: reconnected trees are
+	// Every run ends with one polish pass: reconnected trees are
 	// accretions of patches that can lock in detours, so on first reaching
 	// zero overflow every net is rebuilt in full, sequentially under live
 	// prices (the Gauss-Seidel machinery), and the loop re-confirms zero
@@ -409,36 +390,30 @@ func (e *engine) run() (*Result, error) {
 		// Steiner tree, the Lagrangian's initial point.
 		presFac := 0.0
 		if iter >= 2 {
-			presFac = e.cfg.PresFac
-			for k := 2; k < iter && presFac < e.cfg.PresMax; k++ {
-				presFac *= e.cfg.PresMult
+			presFac = presFirst
+			for k := 2; k < iter && presFac < presMax; k++ {
+				presFac *= presMult
 			}
-			if presFac > e.cfg.PresMax {
-				presFac = e.cfg.PresMax
+			if presFac > presMax {
+				presFac = presMax
 			}
 		}
-		if e.inc != nil {
-			e.repriceDelta(presFac)
-		} else {
-			e.reprice(presFac)
-		}
+		e.repriceDelta(presFac)
 		if h := e.cfg.hooks; h != nil && h.afterReprice != nil {
 			h.afterReprice(e, iter, presFac)
 		}
 		var err error
-		seq := forceSeq || iter >= 2 && (len(reroute) <= e.cfg.SeqBelow || iter > e.cfg.SeqAfter)
+		seq := forceSeq || iter >= 2 && (len(reroute) <= seqBelow || iter > seqAfter)
 		forceSeq = false
 		if seq {
 			err = e.routeSeq(reroute, presFac)
 		} else {
-			if e.inc != nil {
-				// Snapshot the rerouted nets' current trees (slice headers
-				// only — routing always builds fresh edge slices) so the
-				// delta reduce can subtract them after workers overwrite.
-				e.inc.prevSnap = e.inc.prevSnap[:0]
-				for _, i32 := range reroute {
-					e.inc.prevSnap = append(e.inc.prevSnap, e.trees[i32])
-				}
+			// Snapshot the rerouted nets' current trees (slice headers
+			// only — routing always builds fresh edge slices) so the delta
+			// reduce can subtract them after workers overwrite.
+			e.prevSnap = e.prevSnap[:0]
+			for _, i32 := range reroute {
+				e.prevSnap = append(e.prevSnap, e.trees[i32])
 			}
 			err = e.routeAll(reroute, iter, presFac)
 		}
@@ -446,13 +421,7 @@ func (e *engine) run() (*Result, error) {
 			e.fail(res, reroute)
 			return res, err
 		}
-		var overflow, priceUpdates int
-		var histSum float64
-		if e.inc != nil {
-			overflow, priceUpdates, histSum = e.reduceDelta(reroute, seq)
-		} else {
-			overflow, priceUpdates, histSum = e.reduce()
-		}
+		overflow, priceUpdates, histSum := e.reduceDelta(reroute, seq)
 		if h := e.cfg.hooks; h != nil && h.afterReduce != nil {
 			h.afterReduce(e, iter)
 		}
@@ -470,7 +439,7 @@ func (e *engine) run() (*Result, error) {
 		})
 		res.NetRoutes += int64(len(reroute))
 		if overflow == 0 {
-			if !(e.inc != nil && !polished && iter < e.cfg.MaxIters) {
+			if polished || iter >= e.cfg.MaxIters {
 				res.Converged = true
 				return res, nil
 			}
@@ -493,20 +462,6 @@ func (e *engine) run() (*Result, error) {
 	res.Overflow = e.overflowCount()
 	e.fail(res, e.contested(nil))
 	return res, nil
-}
-
-// reprice freezes this iteration's shared per-edge price array:
-// hist[res] + presFac·usage[res] on every edge, and rebuilds the priced
-// edge list (ascending edge ID) that workers perturb and restore per net.
-func (e *engine) reprice(presFac float64) {
-	e.priced = e.priced[:0]
-	for id, r := range e.edgeRes {
-		p := e.hist[r] + presFac*float64(e.usage[r])
-		e.sharedPrice[id] = p
-		if p != 0 {
-			e.priced = append(e.priced, graph.EdgeID(id))
-		}
-	}
 }
 
 // netError is a per-net routing failure; workers keep the lowest net index
@@ -562,10 +517,10 @@ type worker struct {
 	stop    []graph.NodeID
 	resEp   []uint32
 	ep      uint32
-	// Reconnect buffers (incremental mode): kept/out hold the surviving and
-	// rebuilt edge sets, seeds/orphans the search frontier, parent the
-	// union-find over dense fragment slots, seen the epoch-stamped
-	// fragment-membership marks.
+	// Reconnect buffers: kept/out hold the surviving and rebuilt edge
+	// sets, seeds/orphans the search frontier, parent the union-find over
+	// dense fragment slots, seen the epoch-stamped fragment-membership
+	// marks.
 	kept    []graph.EdgeID
 	out     []graph.EdgeID
 	seeds   []graph.Seed
@@ -662,7 +617,7 @@ func (e *engine) routeAll(list []int32, iter int, presFac float64) error {
 	return nil
 }
 
-// routeSeq is the Gauss-Seidel pass (Config.SeqBelow / Config.SeqAfter):
+// routeSeq is the Gauss-Seidel pass (seqBelow / seqAfter):
 // the contested nets route one at a time in net-index order, each seeing
 // the nets before it already moved. Rip-up removes the net's own share from live
 // usage (so no own-share discount is needed) and commit re-prices the new
@@ -684,9 +639,9 @@ func (e *engine) routeSeq(list []int32, presFac float64) error {
 	}()
 	pr := wk.ov.Prices()
 	// adjust moves one tree in or out of live usage and re-prices every
-	// edge of the touched resources. In incremental mode it also feeds the
-	// delta bookkeeping: usage is live here, so the reduce skips its delta
-	// pass and only these marks tell the next reprice what moved.
+	// edge of the touched resources. It also feeds the delta bookkeeping:
+	// usage is live here, so the reduce skips its delta pass and only these
+	// marks tell the next reprice what moved.
 	adjust := func(tree graph.Tree, delta int32) {
 		wk.ep++
 		for _, id := range tree.Edges {
@@ -696,11 +651,9 @@ func (e *engine) routeSeq(list []int32, presFac float64) error {
 			}
 			wk.resEp[r] = wk.ep
 			e.usage[r] += delta
-			if e.inc != nil {
-				e.touchRes(r)
-				if delta > 0 {
-					e.activateRes(r)
-				}
+			e.touchRes(r)
+			if delta > 0 {
+				e.activateRes(r)
 			}
 			p := e.hist[r] + presFac*float64(e.usage[r])
 			for _, re := range e.resEdges(r) {
@@ -785,26 +738,19 @@ func (e *engine) routeNet(wk *worker, idx, iter int, presFac float64) (graph.Tre
 		// net's identity, not on scheduling, so symmetric nets stop
 		// mirroring each other's moves while results stay worker-count
 		// invariant.
-		if eps := e.cfg.JitterEps * presFac; eps > 0 {
-			for _, id := range e.priced {
-				pr[id] += eps * hash01(e.cfg.Seed, int32(idx), int32(id))
-			}
+		eps := jitterEps * presFac
+		for _, id := range e.priced {
+			pr[id] += eps * hash01(jitterSeed, int32(idx), int32(id))
 		}
 	}
-	var (
-		tree graph.Tree
-		err  error
-		done bool
-	)
-	if e.inc != nil && iter >= 2 {
-		tree, done = e.reconnect(wk, idx, terms)
-	}
+	// Iteration 1 has no previous tree, so reconnect declines and the
+	// rebuild rips nothing.
+	tree, done := e.reconnect(wk, idx, terms)
+	var err error
 	if !done {
-		if iter >= 2 {
-			// Full rebuild rips the whole previous tree (also the
-			// incremental fallback path when no fragment survived).
-			wk.ripped += int64(len(e.trees[idx].Edges))
-		}
+		// No fragment worth keeping: the full rebuild rips the whole
+		// previous tree.
+		wk.ripped += int64(len(e.trees[idx].Edges))
 		tree, err = e.construct(wk, terms, net.Pins)
 	}
 	for _, id := range e.priced {
@@ -856,36 +802,6 @@ func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin) (g
 	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
 	e.cfg.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 	return tree, err
-}
-
-// reduce recounts per-resource usage over every tree in net-index order
-// (integer counts — no float accumulation, so the result is independent of
-// which worker routed which net) and applies the sub-gradient update:
-// hist[r] += HistStep·(usage[r]−1) on every overcapacity resource.
-func (e *engine) reduce() (overflow, priceUpdates int, histSum float64) {
-	clear(e.usage)
-	for idx := range e.trees {
-		e.ep++
-		for _, id := range e.trees[idx].Edges {
-			r := e.edgeRes[id]
-			if e.resEp[r] == e.ep {
-				continue
-			}
-			e.resEp[r] = e.ep
-			e.usage[r]++
-		}
-	}
-	for r, u := range e.usage {
-		if u > 1 {
-			overflow++
-			e.hist[r] += e.cfg.HistStep * float64(u-1)
-			priceUpdates++
-		}
-	}
-	for _, h := range e.hist {
-		histSum += h
-	}
-	return overflow, priceUpdates, histSum
 }
 
 // contested appends (in ascending net order) every net whose tree touches

@@ -2,7 +2,9 @@ package pathfinder
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"fpgarouter/internal/circuits"
@@ -63,46 +65,96 @@ func TestHistoryMonotone(t *testing.T) {
 	}
 }
 
-// TestConvergesPaperCircuits: the engine must reach zero overflow on every
-// paper benchmark at the width the paper's own router achieved, within the
-// default iteration budget. The default run keeps a representative subset
-// (the fourteen-circuit sweep is minutes of wall clock and has its own CI
-// job); PATHFINDER_FULL_CIRCUITS=1 covers all fourteen, and short mode
-// trims to the two smallest.
-func TestConvergesPaperCircuits(t *testing.T) {
-	specs := []circuits.Spec{
+// sharedRun is one Route at a circuit's paper width with a stats collector
+// attached. The convergence, worker-parity and stats-counter tests assert
+// different properties of the same deterministic runs, so each run is
+// computed once per test binary and shared.
+type sharedRun struct {
+	once sync.Once
+	res  *Result
+	snap stats.Snapshot
+	err  error
+}
+
+var sharedRuns sync.Map // "<circuit>/<workers>" -> *sharedRun
+
+// routeShared returns the shared Route of spec at its paper width under
+// Config{Workers: workers} and its collector snapshot. Callers must not
+// modify the Result.
+func routeShared(t *testing.T, spec circuits.Spec, workers int) (*Result, stats.Snapshot) {
+	t.Helper()
+	v, _ := sharedRuns.LoadOrStore(fmt.Sprintf("%s/%d", spec.Name, workers), new(sharedRun))
+	run := v.(*sharedRun)
+	run.once.Do(func() {
+		ckt, err := circuits.Synthesize(spec, 1)
+		if err != nil {
+			run.err = err
+			return
+		}
+		fab, err := fpga.NewFabric(ckt.ArchAt(spec.PaperIKMB))
+		if err != nil {
+			run.err = err
+			return
+		}
+		col := stats.New()
+		run.res, run.err = Route(fab, ckt.Nets, Config{Workers: workers, Stats: col})
+		run.snap = col.Snapshot()
+	})
+	if run.err != nil {
+		t.Fatalf("%s at workers=%d: %v", spec.Name, workers, run.err)
+	}
+	return run.res, run.snap
+}
+
+// paperSpecs lists the circuits the convergence tests route. The default
+// run keeps a representative subset (the fourteen-circuit sweep is minutes
+// of wall clock and has its own CI job); PATHFINDER_FULL_CIRCUITS=1 covers
+// all fourteen, and short mode trims to the two smallest.
+func paperSpecs(t *testing.T) []circuits.Spec {
+	t.Helper()
+	if testing.Short() {
+		return []circuits.Spec{specNamed(t, "term1"), specNamed(t, "9symml")}
+	}
+	if os.Getenv("PATHFINDER_FULL_CIRCUITS") != "" {
+		return append(append([]circuits.Spec{}, circuits.Table2Circuits...), circuits.Table3Circuits...)
+	}
+	return []circuits.Spec{
 		specNamed(t, "busc"), specNamed(t, "term1"),
 		specNamed(t, "9symml"), specNamed(t, "apex7"),
 	}
-	if os.Getenv("PATHFINDER_FULL_CIRCUITS") != "" {
-		specs = append(append([]circuits.Spec{}, circuits.Table2Circuits...), circuits.Table3Circuits...)
+}
+
+// assertConverged requires zero overflow at spec's paper width and a valid
+// tree for every net, checked against a freshly built fabric.
+func assertConverged(t *testing.T, spec circuits.Spec, res *Result) {
+	t.Helper()
+	if !res.Converged {
+		t.Fatalf("no convergence at width %d: %d overflowed resources, %d failed nets after %d iterations",
+			spec.PaperIKMB, res.Overflow, len(res.FailedNets), res.Iterations)
 	}
-	if testing.Short() {
-		specs = []circuits.Spec{specNamed(t, "term1"), specNamed(t, "9symml")}
+	fab, ckt := synth(t, spec, spec.PaperIKMB)
+	g := fab.Graph()
+	for i, net := range ckt.Nets {
+		terms := make([]graph.NodeID, len(net.Pins))
+		for j, p := range net.Pins {
+			terms[j] = fab.PinNode(p)
+		}
+		if err := graph.ValidateTree(g, res.Trees[i], terms); err != nil {
+			t.Fatalf("net %d: %v", i, err)
+		}
 	}
-	for _, spec := range specs {
+}
+
+// TestConvergesPaperCircuits: the engine must reach zero overflow on every
+// paper benchmark at the width the paper's own router achieved, within the
+// default iteration budget, and produce valid trees.
+func TestConvergesPaperCircuits(t *testing.T) {
+	for _, spec := range paperSpecs(t) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			fab, ckt := synth(t, spec, spec.PaperIKMB)
-			res, err := Route(fab, ckt.Nets, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Fatalf("no convergence at width %d: %d overflowed resources, %d failed nets after %d iterations",
-					spec.PaperIKMB, res.Overflow, len(res.FailedNets), res.Iterations)
-			}
-			g := fab.Graph()
-			for i, net := range ckt.Nets {
-				terms := make([]graph.NodeID, len(net.Pins))
-				for j, p := range net.Pins {
-					terms[j] = fab.PinNode(p)
-				}
-				if err := graph.ValidateTree(g, res.Trees[i], terms); err != nil {
-					t.Fatalf("net %d: %v", i, err)
-				}
-			}
+			res, _ := routeShared(t, spec, 0)
+			assertConverged(t, spec, res)
 		})
 	}
 }
@@ -112,17 +164,9 @@ func TestConvergesPaperCircuits(t *testing.T) {
 // count. CI runs this under -race at GOMAXPROCS 1 and 4.
 func TestWorkerParityAcrossCounts(t *testing.T) {
 	spec := specNamed(t, "term1")
-	var want *Result
-	for _, workers := range []int{1, 2, 4, 8} {
-		fab, ckt := synth(t, spec, spec.PaperIKMB)
-		res, err := Route(fab, ckt.Nets, Config{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want == nil {
-			want = res
-			continue
-		}
+	want, _ := routeShared(t, spec, 1)
+	for _, workers := range []int{2, 4, 8} {
+		res, _ := routeShared(t, spec, workers)
 		if res.Iterations != want.Iterations || res.Converged != want.Converged {
 			t.Fatalf("workers=%d: %d iterations (converged=%v), workers=1 had %d (converged=%v)",
 				workers, res.Iterations, res.Converged, want.Iterations, want.Converged)
@@ -151,14 +195,7 @@ func TestWorkerParityAcrossCounts(t *testing.T) {
 // TestStatsCounters: a run with a collector attached reports its
 // iterations and pricing work through the observability layer.
 func TestStatsCounters(t *testing.T) {
-	spec := specNamed(t, "term1")
-	fab, ckt := synth(t, spec, spec.PaperIKMB)
-	col := stats.New()
-	res, err := Route(fab, ckt.Nets, Config{Stats: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := col.Snapshot()
+	res, snap := routeShared(t, specNamed(t, "term1"), 0)
 	if snap.PathfinderIters != int64(res.Iterations) {
 		t.Fatalf("collector saw %d iterations, result says %d", snap.PathfinderIters, res.Iterations)
 	}

@@ -33,16 +33,15 @@ func routeParallel(ctx *Context, fab *fpga.Fabric, ckt *circuits.Circuit, opts O
 		return nil, fmt.Errorf("router: parallel mode does not support critical-net classification (%d critical nets requested)", len(opts.CriticalNets))
 	}
 	cfg := pathfinder.Config{
-		Algorithm:   opts.Algorithm,
-		Workers:     opts.NetWorkers,
-		MaxIters:    opts.MaxPasses,
-		BBoxMargin:  opts.BBoxMargin,
-		MaxPool:     maxPool,
-		SingleStep:  opts.SingleStep,
-		Lazy:        opts.LazyScan,
-		Incremental: opts.IncrementalReroute,
-		Stats:       ctx.Stats,
-		Cancel:      ctx.checkCanceled,
+		Algorithm:  opts.Algorithm,
+		Workers:    opts.NetWorkers,
+		MaxIters:   opts.MaxPasses,
+		BBoxMargin: opts.BBoxMargin,
+		MaxPool:    maxPool,
+		SingleStep: opts.SingleStep,
+		Lazy:       opts.LazyScan,
+		Stats:      ctx.Stats,
+		Cancel:     ctx.checkCanceled,
 	}
 	if dc := ctx.durable; dc != nil {
 		cfg.CheckpointEvery = dc.CheckpointEvery

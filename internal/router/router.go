@@ -132,14 +132,13 @@ type Options struct {
 	// at 8); 1 (or any negative value) routes nets one at a time. Routing
 	// results are bit-identical at every setting.
 	NetWorkers int `json:"net_workers,omitempty"`
-	// IncrementalReroute enables partial rip-up inside the parallel router
-	// (only meaningful with Parallel): a contested net keeps the fragment of
-	// its previous tree that touches no overflowed resource and reconnects
-	// its orphaned pins by multi-source search seeded from the fragment,
-	// while the per-iteration reduce and reprice run as deltas over only the
-	// changed state. Results stay deterministic and NetWorkers-invariant;
-	// routes may differ from full-reroute mode (both converge, the quality
-	// envelope is asserted by the experiment sweeps).
+	// IncrementalReroute has no effect: the parallel router always rips up
+	// incrementally (a contested net keeps the fragment of its previous
+	// tree that touches no overflowed resource and reconnects only its
+	// orphaned pins). The field remains so journaled requests and clients
+	// that send incremental_reroute still decode under strict parsing.
+	//
+	// Deprecated: leave unset.
 	IncrementalReroute bool `json:"incremental_reroute,omitempty"`
 	// NoMoveToFront disables the move-to-front reordering of failed nets
 	// (for the ordering ablation benchmark).

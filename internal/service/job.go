@@ -154,7 +154,7 @@ type Job struct {
 	// Durability plumbing (zero in a purely in-memory service): key is the
 	// content address of (mode, circuit, width, options) — the result-store
 	// and idempotency key; resume is the checkpoint recovery loaded for a
-	// re-enqueued parallel route.
+	// re-enqueued parallel route (cleared if the engine rejects it).
 	key    string
 	resume *pathfinder.Checkpoint
 

@@ -7,12 +7,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"fpgarouter/internal/circuits"
 	"fpgarouter/internal/faultpoint"
 	"fpgarouter/internal/journal"
+	"fpgarouter/internal/pathfinder"
 	"fpgarouter/internal/router"
 )
 
@@ -187,35 +189,10 @@ func TestResultStoredBeforeDone(t *testing.T) {
 // TestRecoveryRequeuesInterruptedJob: a journal holding submitted+started
 // with no terminal record — a crash mid-route — re-enqueues the job on
 // recovery, and the re-run's result is bit-identical to a direct route.
+// A persisted checkpoint the engine rejects — one from the retired
+// full-rip mode, or one with a tree edge out of range — must not fail the
+// job: the worker deletes it and routes from scratch.
 func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
-	dir := t.TempDir()
-	// Fabricate the crash: journal a submission that never finished.
-	j, _, err := journal.Open(dir+"/journal.wal", journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqRaw, _ := json.Marshal(routeTerm1)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(j.Append(journal.Record{Event: journal.EvSubmitted, JobID: "job-000007", Time: time.Now().UTC(), Key: "k7", Request: reqRaw}))
-	must(j.Append(journal.Record{Event: journal.EvStarted, JobID: "job-000007", Time: time.Now().UTC()}))
-	must(j.Close())
-
-	_, report, ts := durableHarness(t, dir, Config{Workers: 1, QueueDepth: 4})
-	if report.Requeued != 1 || report.Completed != 0 {
-		t.Fatalf("replay report %+v, want 1 requeued", report)
-	}
-	final := pollUntilTerminal(t, ts.URL, "job-000007", 2*time.Minute)
-	if final.State != StateDone || !final.Recovered {
-		t.Fatalf("recovered job ended %+v", final)
-	}
-	var rr ResultResponse
-	if code := getJSON(t, ts.URL+"/jobs/job-000007/result", &rr); code != http.StatusOK {
-		t.Fatalf("result: HTTP %d", code)
-	}
 	spec, _ := circuits.SpecByName("term1")
 	ckt, err := circuits.Synthesize(spec, 1)
 	if err != nil {
@@ -225,18 +202,95 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := json.Marshal(rr.Result)
 	wantB, _ := json.Marshal(want)
-	if !bytes.Equal(got, wantB) {
-		t.Fatalf("re-run result differs from direct route:\n%.200s\nvs\n%.200s", got, wantB)
+	var cks []*pathfinder.Checkpoint
+	rc := router.NewContext(nil)
+	restore := rc.BindDurable(&router.DurableConfig{
+		CheckpointEvery: 1,
+		CheckpointFn:    func(ck *pathfinder.Checkpoint) { cks = append(cks, ck) },
+	})
+	_, err = router.RouteCtx(rc, ckt, 10, router.Options{Parallel: true})
+	restore()
+	rc.Close()
+	if err != nil || len(cks) == 0 {
+		t.Fatalf("checkpoint capture: %d checkpoints, err %v", len(cks), err)
 	}
-	// New submissions must not collide with the recovered ID space.
-	var st Status
-	if code, body := postJSON(t, ts.URL+"/jobs", routeTerm1, &st); code != http.StatusAccepted {
-		t.Fatalf("post-recovery submit: HTTP %d: %s", code, body)
-	}
-	if st.ID <= "job-000007" {
-		t.Fatalf("post-recovery job ID %s did not advance past the recovered sequence", st.ID)
+
+	for _, tc := range []struct {
+		name string
+		ckpt func(*pathfinder.Checkpoint) // nil: no checkpoint persisted
+	}{
+		{"no-checkpoint", nil},
+		{"full-rip-checkpoint", func(ck *pathfinder.Checkpoint) { ck.Incremental = false }},
+		{"edge-range-checkpoint", func(ck *pathfinder.Checkpoint) {
+			ck.Trees = slices.Clone(ck.Trees)
+			ck.Trees[0].Edges = append(slices.Clone(ck.Trees[0].Edges), 1<<30)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const id = "job-000007"
+			// Fabricate the crash: journal a submission that never finished.
+			reqRaw, _ := json.Marshal(routeTerm1)
+			recs := []journal.Record{
+				{Event: journal.EvSubmitted, JobID: id, Time: time.Now().UTC(), Key: "k7", Request: reqRaw},
+				{Event: journal.EvStarted, JobID: id, Time: time.Now().UTC()},
+			}
+			resumed := 0
+			if tc.ckpt != nil {
+				ck := *cks[len(cks)/2]
+				tc.ckpt(&ck)
+				store, err := journal.NewStore(dir + "/store")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.Put(checkpointKey(id), &ck); err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, journal.Record{Event: journal.EvCheckpointed, JobID: id, Iteration: ck.Iteration})
+				resumed = 1
+			}
+			j, _, err := journal.Open(dir+"/journal.wal", journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				if err := j.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			svc, report, ts := durableHarness(t, dir, Config{Workers: 1, QueueDepth: 4})
+			if report.Requeued != 1 || report.Completed != 0 || report.Resumed != resumed {
+				t.Fatalf("replay report %+v, want 1 requeued, %d resumed", report, resumed)
+			}
+			final := pollUntilTerminal(t, ts.URL, id, 2*time.Minute)
+			if final.State != StateDone || !final.Recovered {
+				t.Fatalf("recovered job ended %+v", final)
+			}
+			var rr ResultResponse
+			if code := getJSON(t, ts.URL+"/jobs/"+id+"/result", &rr); code != http.StatusOK {
+				t.Fatalf("result: HTTP %d", code)
+			}
+			got, _ := json.Marshal(rr.Result)
+			if !bytes.Equal(got, wantB) {
+				t.Fatalf("re-run result differs from direct route:\n%.200s\nvs\n%.200s", got, wantB)
+			}
+			if svc.cfg.Results.Has(checkpointKey(id)) {
+				t.Fatal("checkpoint blob still in the store after the job finished")
+			}
+			// New submissions must not collide with the recovered ID space.
+			var st Status
+			if code, body := postJSON(t, ts.URL+"/jobs", routeTerm1, &st); code != http.StatusAccepted {
+				t.Fatalf("post-recovery submit: HTTP %d: %s", code, body)
+			}
+			if st.ID <= id {
+				t.Fatalf("post-recovery job ID %s did not advance past the recovered sequence", st.ID)
+			}
+		})
 	}
 }
 

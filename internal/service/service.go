@@ -409,6 +409,16 @@ func (s *Service) run(rc *router.Context, job *Job) *router.Context {
 			rc.Discard()
 			rc = router.NewContext(s.stats)
 		}
+		if job.resume != nil && errors.Is(err, pathfinder.ErrBadCheckpoint) {
+			// The recovered checkpoint cannot be resumed — a full-rip
+			// snapshot from an older build, or corrupt contents. Drop it and
+			// route from scratch; a restart is not a retry, so it leaves
+			// the retry budget untouched.
+			s.cfg.Results.Delete(checkpointKey(job.id))
+			job.resume = nil
+			attempt--
+			continue
+		}
 		if err == nil || attempt >= job.retries || !errors.Is(err, ErrTransient) {
 			break
 		}

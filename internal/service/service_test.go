@@ -240,17 +240,14 @@ func TestGoalDirectedWireParity(t *testing.T) {
 	}
 }
 
-// TestParallelWireParity pins the parallel / net_workers wire names and
-// their plumbing: a route submitted with parallel:true must be
-// bit-identical to the same net-parallel route run in-process (the
-// pathfinder is deterministic and worker-count invariant, so the wire's
-// net_workers:2 against the direct route's default is part of the
-// contract, not a fixture detail).
-func TestParallelWireParity(t *testing.T) {
+// assertParallelWireParity submits a term1 route at width 10 with the
+// given options body and requires its result bit-identical to the same
+// net-parallel route run in-process with Options{Parallel: true}.
+func assertParallelWireParity(t *testing.T, options string) {
+	t.Helper()
 	_, ts := harness(t, Config{Workers: 1, QueueDepth: 4})
 
-	req := []byte(`{"mode":"route","circuit":"term1","seed":1,"width":10,
-		"options":{"parallel":true,"net_workers":2}}`)
+	req := []byte(`{"mode":"route","circuit":"term1","seed":1,"width":10,"options":` + options + `}`)
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
@@ -284,53 +281,26 @@ func TestParallelWireParity(t *testing.T) {
 	got, _ := json.Marshal(rr.Result)
 	want, _ := json.Marshal(wantRes)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("parallel wire result differs from direct parallel route:\n%.200s\nvs\n%.200s", got, want)
+		t.Fatalf("%s: wire result differs from direct parallel route:\n%.200s\nvs\n%.200s", options, got, want)
 	}
 }
 
-// TestIncrementalWireParity pins the incremental_reroute wire name: a route
-// submitted with it must be bit-identical to the same incremental
-// net-parallel route run in-process.
+// TestParallelWireParity pins the parallel / net_workers wire names and
+// their plumbing: a route submitted with parallel:true must be
+// bit-identical to the same net-parallel route run in-process (the
+// pathfinder is deterministic and worker-count invariant, so the wire's
+// net_workers:2 against the direct route's default is part of the
+// contract, not a fixture detail).
+func TestParallelWireParity(t *testing.T) {
+	assertParallelWireParity(t, `{"parallel":true,"net_workers":2}`)
+}
+
+// TestIncrementalWireParity pins the incremental_reroute wire name:
+// requests that still carry it — journaled ones, older clients — must be
+// accepted and route exactly like parallel:true alone, since partial
+// rip-up is the only mode.
 func TestIncrementalWireParity(t *testing.T) {
-	_, ts := harness(t, Config{Workers: 1, QueueDepth: 4})
-
-	req := []byte(`{"mode":"route","circuit":"term1","seed":1,"width":10,
-		"options":{"parallel":true,"incremental_reroute":true}}`)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	final := pollUntilTerminal(t, ts.URL, st.ID, 2*time.Minute)
-	if final.State != StateDone {
-		t.Fatalf("job ended %s (%s)", final.State, final.Error)
-	}
-	var rr ResultResponse
-	if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/result", &rr); code != http.StatusOK {
-		t.Fatalf("result: HTTP %d", code)
-	}
-
-	spec, _ := circuits.SpecByName("term1")
-	ckt, err := circuits.Synthesize(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := router.Route(ckt, 10, router.Options{Parallel: true, IncrementalReroute: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(rr.Result)
-	want, _ := json.Marshal(wantRes)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("incremental wire result differs from direct incremental route:\n%.200s\nvs\n%.200s", got, want)
-	}
+	assertParallelWireParity(t, `{"parallel":true,"incremental_reroute":true}`)
 }
 
 // TestDeadlineJobCancels: a short-deadline job transitions to canceled

@@ -193,9 +193,9 @@ func (c *Collector) AddPathfinderIteration(overflow, priceUpdates int64) {
 }
 
 // AddIncremental records one pathfinder iteration's rip-up accounting:
-// reroutes nets reconnected from a retained fragment (incremental mode),
-// ripped previous-tree edges discarded before rerouting (both modes), and
-// retained previous-tree edges kept by partial rip-up.
+// reroutes nets reconnected from a retained fragment, ripped previous-tree
+// edges discarded before rerouting, and retained previous-tree edges kept
+// by partial rip-up.
 func (c *Collector) AddIncremental(reroutes, ripped, retained int64) {
 	if c == nil {
 		return
