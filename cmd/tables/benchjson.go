@@ -77,12 +77,17 @@ type benchFile struct {
 }
 
 // gitCommit resolves the commit the binary is benchmarking: the working
-// tree's HEAD when run inside a checkout, else the VCS stamp Go embeds at
-// build time, else "unknown" — entries stay attributable across PRs even
-// when the binary travels without its repository.
+// tree's HEAD when run inside a checkout (suffixed "-dirty" when tracked
+// files differ from it, as when results are regenerated before the change
+// that produced them is committed), else the VCS stamp Go embeds at build
+// time, else "unknown" — entries stay attributable across PRs even when
+// the binary travels without its repository.
 func gitCommit() string {
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		if s := strings.TrimSpace(string(out)); s != "" {
+			if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+				s += "-dirty"
+			}
 			return s
 		}
 	}
@@ -356,8 +361,10 @@ func writeBenchJSON(path string, quick bool) error {
 	if !quick {
 		// The z03 stress case is the hardest paper circuit: far too slow for
 		// testing.Benchmark's auto-scaling, and the engine is deterministic,
-		// so one hand-timed run is the benchmark. A stats collector supplies
-		// the rip-up provenance.
+		// so one hand-timed run is the benchmark. runtime.MemStats deltas
+		// around the run give its allocation counts, which testing.Benchmark
+		// would otherwise report, and a stats collector supplies the rip-up
+		// provenance.
 		z03spec, ok := circuits.SpecByName("z03")
 		if !ok {
 			return fmt.Errorf("bench-json: circuit z03 not registered")
@@ -371,8 +378,12 @@ func writeBenchJSON(path string, quick bool) error {
 		col := stats.New()
 		rctx := router.NewContext(col)
 		defer rctx.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		res, err := router.RouteCtx(rctx, z03, z03spec.PaperIKMB, router.Options{Parallel: true})
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -380,7 +391,9 @@ func writeBenchJSON(path string, quick bool) error {
 		out.Results = append(out.Results, BenchResult{
 			Name:               name,
 			Iterations:         1,
-			NsPerOp:            float64(time.Since(start).Nanoseconds()),
+			NsPerOp:            float64(elapsed.Nanoseconds()),
+			AllocsPerOp:        int64(after.Mallocs - before.Mallocs),
+			BytesPerOp:         int64(after.TotalAlloc - before.TotalAlloc),
 			GoMaxProcs:         runtime.GOMAXPROCS(0),
 			IterationsPerOp:    int64(res.Passes),
 			EdgesRippedPerOp:   snap.EdgesRipped,

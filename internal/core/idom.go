@@ -21,10 +21,16 @@ func IDOM(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 
 // IDOMOpts is IDOM with template options (candidate scoping, batching).
 func IDOMOpts(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, error) {
-	return IGMST(cache, net, arbor.DOM, opts)
+	t, _, err := IDOMStats(cache, net, opts)
+	return t, err
 }
 
 // IDOMStats is IDOM returning work statistics for the ablation benches.
+// Unlike IGMSTStats it never warms the terminals' trees on the workers:
+// DOM reads the distance between a sink and an earlier net node off the
+// sink's tree when only that one is cached, so caching every terminal's
+// tree first could change the bits it reads (DESIGN.md §5). Its candidate
+// scans still fan out over Options.Workers.
 func IDOMStats(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, Stats, error) {
-	return IGMSTStats(cache, net, arbor.DOM, opts)
+	return iterate(cache, net, arbor.DOM, opts, false)
 }

@@ -39,13 +39,16 @@ type Options struct {
 	// "batches based on a non-interference criterion" variant of Section 3
 	// (after Kahng & Robins); typical instances converge in ≤ 3 rounds.
 	Batched bool
-	// Workers bounds the fan-out of each candidate-scan round: candidates
-	// are sharded over this many goroutines, each evaluating H against its
-	// own fork of the (frozen) shortest-paths cache. 0 selects the default
-	// (GOMAXPROCS capped at 8); 1 or any negative value selects the inline
-	// sequential scan, kept as the regression oracle. Results are
-	// bit-identical at every setting: evaluations are reduced in pool order
-	// with the sequential tie-break.
+	// Workers bounds the construction's fan-out: before the first H call
+	// the terminals' shortest-path trees are computed on this many
+	// goroutines (nets of more than two terminals), and each
+	// candidate-scan round shards its candidates over them, each worker
+	// evaluating H against its own fork of the (frozen) shortest-paths
+	// cache. 0 selects the default (GOMAXPROCS capped at 8); 1 or any
+	// negative value selects the inline sequential construction, kept as
+	// the regression oracle. Results are bit-identical at every setting:
+	// the warmed trees are the ones H would compute, and evaluations are
+	// reduced in pool order with the sequential tie-break.
 	Workers int
 	// Lazy enables the lazy-greedy ("CELF"-style) candidate scan: each
 	// candidate's last-known gain is kept as a stale priority, and a round
@@ -99,9 +102,11 @@ type Stats struct {
 	ScanWall time.Duration
 	ScanCPU  time.Duration
 	// WorkerSSSPRuns and WorkerHeapPushes count Dijkstra work performed
-	// inside worker forks during parallel scans. It bypasses the caller's
-	// scratch, whose counter deltas the router feeds to its stats layer, so
-	// the router adds these separately.
+	// on the worker forks' scratches: the terminal-tree warm-up and any
+	// search a parallel scan runs. It bypasses the caller's scratch, whose
+	// counter deltas the router and the pathfinder feed to their stats
+	// layer, so both add these separately; the sums then match a
+	// single-worker construction's.
 	WorkerSSSPRuns   int64
 	WorkerHeapPushes int64
 }
@@ -114,17 +119,43 @@ func IGMST(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, opts 
 	return t, err
 }
 
-// IGMSTStats is IGMST returning work statistics.
+// IGMSTStats is IGMST returning work statistics. With more than one
+// worker (Options.Workers) and more than two terminals, it first computes
+// every terminal's shortest-path tree concurrently and caches it in cache,
+// then runs the template with its candidate scans sharded over the same
+// workers. The tree and the scan counters are bit-identical to the
+// single-worker construction's as long as H, when it reads the distance
+// between two nodes neither of which has a cached tree, computes the tree
+// of the endpoint it reads from — KMB, SPH and ZEL do (DESIGN.md §5).
 func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, opts Options) (graph.Tree, Stats, error) {
+	return iterate(cache, net, H, opts, true)
+}
+
+// iterate is the template behind IGMSTStats and IDOMStats; warm enables
+// the terminal-tree warm-up.
+func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, opts Options, warm bool) (graph.Tree, Stats, error) {
 	var st Stats
+	// The scanner owns the per-worker forks of the cache (sequential when
+	// Workers resolves to 1). Between fan-outs the cache is mutated freely —
+	// admissions cache new established trees — because the forks are only
+	// ever used inside warm and scan, never concurrently with an admission.
+	// A net of at most two terminals needs no scanner: a Steiner point can
+	// never improve a single shortest path (by the triangle inequality), so
+	// the candidate scan is skipped entirely.
+	var sc *scanner
+	if len(net) > 2 {
+		sc = newScanner(cache, H, opts)
+		defer sc.close()
+		if warm {
+			sc.warm(&st, net)
+		}
+	}
 	best, err := H(cache, net)
 	if err != nil {
 		return graph.Tree{}, st, err
 	}
 	st.Evaluations++
-	if len(net) <= 2 {
-		// A Steiner point can never improve a single shortest path (by the
-		// triangle inequality), so skip the candidate scan entirely.
+	if sc == nil {
 		return best, st, nil
 	}
 	// Force-cache shortest-path trees for every established node. With all
@@ -142,12 +173,6 @@ func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, 
 	}
 	pool := candidatePool(cache.Graph(), opts.Candidates)
 	spanned := append([]graph.NodeID(nil), net...) // N ∪ S
-	// The scanner owns the per-worker forks of the cache (sequential when
-	// Workers resolves to 1). Between scans the cache is mutated freely —
-	// admissions cache new established trees — because the forks are only
-	// ever read inside scan, never concurrently with an admission.
-	sc := newScanner(cache, H, opts)
-	defer sc.close()
 	// The lazy queue (nil when off) decides per round which candidates are
 	// worth re-evaluating; exhaustive rounds go through sc.scan unchanged.
 	// Both return evaluations in pool order, so the selection fold below is

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fpgarouter/internal/faultpoint"
@@ -46,8 +47,10 @@ type scanEval struct {
 // or sharded over worker goroutines. Each worker owns a Fork of the cache —
 // a read-only view of every established tree plus a private scratch for the
 // epoch sets and any candidate-rooted Dijkstra runs — so concurrent
-// evaluations share no mutable state. Forks persist across rounds to keep
-// their scratch warm; close returns them to the process-wide pool.
+// evaluations share no mutable state. The same workers warm the net's
+// terminal trees before the first round (warm). Forks persist across
+// rounds to keep their scratch warm; close returns them to the
+// process-wide pool.
 type scanner struct {
 	cache   *graph.SPTCache
 	H       steiner.Heuristic
@@ -58,14 +61,13 @@ type scanner struct {
 	targets []graph.NodeID    // current round's candidates, in pool order
 	evals   []scanEval        // reused result buffer
 	// workerRuns/workerPushes stage each worker's Dijkstra counter deltas
-	// for the round so the reducer can fold them into Stats without racing.
+	// for one fan-out so fanOut can fold them into Stats without racing.
 	workerRuns   []int64
 	workerPushes []int64
-	// panics[k] captures a panic recovered on worker k so it can be
-	// re-raised on the calling goroutine after the round's barrier — a raw
-	// panic on a worker goroutine would kill the whole process, bypassing
-	// the service's per-job isolation. poisoned[k] marks that worker's fork
-	// scratch as mid-run-interrupted; close discards it instead of pooling.
+	// panics[k] captures a panic recovered on worker k so fanOut can
+	// re-raise it on the calling goroutine after the barrier. poisoned[k]
+	// marks that worker's fork scratch as mid-run-interrupted; close
+	// discards it instead of pooling.
 	panics   []*faultpoint.GoroutinePanic
 	poisoned []bool
 }
@@ -150,65 +152,92 @@ func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID) []scanEval {
 		}
 		return evals
 	}
-	w := s.workers
-	if w > n {
-		w = n
-	}
+	w := min(s.workers, n)
 	per := (n + w - 1) / w
+	w = (n + per - 1) / per // no worker without a shard
 	cpu := make([]time.Duration, w)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		s.workerRuns[k], s.workerPushes[k] = 0, 0
-		lo, hi := k*per, min((k+1)*per, n)
-		if lo >= hi {
-			continue
+	s.fanOut(st, w, func(k int) {
+		t0 := time.Now()
+		fork := s.forks[k]
+		for i := k * per; i < min((k+1)*per, n); i++ {
+			faultpoint.Check(faultpoint.ScanWorker)
+			t := s.targets[i]
+			sol, err := s.H(fork, withTerm(&s.bufs[k], spanned, t))
+			evals[i] = scanEval{t, sol, err}
 		}
-		s.panics[k] = nil
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					// Capture the stack here, while the panicking frames are
-					// still on this goroutine; the barrier re-raises below.
-					s.panics[k] = &faultpoint.GoroutinePanic{Value: p, Stack: debug.Stack()}
-					s.poisoned[k] = true
-				}
-			}()
-			t0 := time.Now()
-			fork := s.forks[k]
-			scr := fork.Scratch()
-			runs0, pushes0 := scr.Runs, scr.HeapPushes
-			for i := lo; i < hi; i++ {
-				faultpoint.Check(faultpoint.ScanWorker)
-				t := s.targets[i]
-				sol, err := s.H(fork, withTerm(&s.bufs[k], spanned, t))
-				evals[i] = scanEval{t, sol, err}
-			}
-			s.workerRuns[k] = scr.Runs - runs0
-			s.workerPushes[k] = scr.HeapPushes - pushes0
-			cpu[k] = time.Since(t0)
-		}(k, lo, hi)
-	}
-	wg.Wait()
-	// Re-raise the lowest-indexed worker panic on the owning goroutine
-	// (deterministic when several workers fail the same round). IGMSTStats'
-	// deferred scanner close runs during the unwind and discards the
-	// poisoned forks.
-	for k := 0; k < w; k++ {
-		if s.panics[k] != nil {
-			panic(s.panics[k])
-		}
-	}
+		cpu[k] = time.Since(t0)
+	})
 	st.ParallelScans++
 	st.ScanWall += time.Since(start)
 	for _, d := range cpu {
 		st.ScanCPU += d
 	}
+	return evals
+}
+
+// warm computes the shortest-path tree of every net terminal the cache
+// lacks before the first base-heuristic call, concurrently on the worker
+// forks' scratches (graph.SPTCache.Warm), and accounts the searches into
+// st's worker counters. Sequential scanners leave the trees to the base
+// heuristic, as before. The warmed trees are the ones the template computes
+// anyway, only earlier: the force-cache loop after the first H call roots
+// a tree at every terminal. DESIGN.md §5 shows why the distances KMB, SPH
+// and ZEL read keep every bit, and why IDOMStats does not warm.
+func (s *scanner) warm(st *Stats, net []graph.NodeID) {
+	if s.workers == 1 {
+		return
+	}
+	s.cache.Warm(net, func(n int, fill func(int, *graph.DijkstraScratch)) {
+		var next atomic.Int64
+		s.fanOut(st, min(s.workers, n), func(k int) {
+			scr := s.forks[k].Scratch()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fill(i, scr)
+			}
+		})
+	})
+}
+
+// fanOut runs body(k) for every k in [0, w) on its own goroutine, worker
+// k owning fork k, and returns once all of them have. A panic on worker k
+// is recovered with the worker's stack and marks fork k poisoned; after
+// the barrier the lowest-indexed one is re-raised on the calling goroutine
+// (a raw panic on a worker goroutine would kill the whole process,
+// bypassing the service's per-job isolation), and iterate's deferred
+// close discards the poisoned forks during the unwind. Otherwise each
+// worker's Dijkstra work on its fork scratch is added to st, which the
+// caller's own scratch counters cannot see.
+func (s *scanner) fanOut(st *Stats, w int, body func(k int)) {
+	var wg sync.WaitGroup
+	for k := 0; k < w; k++ {
+		s.panics[k] = nil
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					// Capture the stack here, while the panicking frames are
+					// still on this goroutine.
+					s.panics[k] = &faultpoint.GoroutinePanic{Value: p, Stack: debug.Stack()}
+					s.poisoned[k] = true
+				}
+			}()
+			scr := s.forks[k].Scratch()
+			runs0, pushes0 := scr.Runs, scr.HeapPushes
+			body(k)
+			s.workerRuns[k] = scr.Runs - runs0
+			s.workerPushes[k] = scr.HeapPushes - pushes0
+		}(k)
+	}
+	wg.Wait()
+	for k := 0; k < w; k++ {
+		if s.panics[k] != nil {
+			panic(s.panics[k])
+		}
+	}
 	for k := 0; k < w; k++ {
 		st.WorkerSSSPRuns += s.workerRuns[k]
 		st.WorkerHeapPushes += s.workerPushes[k]
 	}
-	return evals
 }

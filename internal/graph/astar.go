@@ -29,7 +29,7 @@ func (g *Graph) AStar(s *DijkstraScratch, src, goal NodeID, b Bounds) *SPT {
 		return g.dijkstraWith(s, src, []NodeID{goal})
 	}
 	h := func(v NodeID) float64 { return b.LowerBound(v, goal) }
-	return g.goalDirected(s, src, []NodeID{goal}, h)
+	return g.goalDirected(s, s.takeSPT(), src, []NodeID{goal}, h)
 }
 
 // DijkstraWithinBounded is DijkstraWithin guided toward the stop set by an
@@ -43,26 +43,22 @@ func (g *Graph) DijkstraWithinBounded(s *DijkstraScratch, src NodeID, stop []Nod
 		s = AcquireScratch()
 		defer ReleaseScratch(s)
 	}
-	return g.dijkstraBoundedWith(s, src, stop, b)
-}
-
-func (g *Graph) dijkstraBoundedWith(s *DijkstraScratch, src NodeID, stop []NodeID, b Bounds) *SPT {
 	if b == nil {
 		return g.dijkstraWith(s, src, stop)
 	}
-	return g.goalDirected(s, src, stop, b.ToSet(stop))
+	return g.goalDirected(s, s.takeSPT(), src, stop, b.ToSet(stop))
 }
 
 // goalDirected is the shared A* core: heap keys are Dist + h, settlement
 // stops once every node of stop is settled, and unsettled state is
 // invalidated exactly like dijkstraWith's early exit. h must be admissible
 // and consistent so that each settled node's distance is final.
-func (g *Graph) goalDirected(s *DijkstraScratch, src NodeID, stop []NodeID, h func(NodeID) float64) *SPT {
+func (g *Graph) goalDirected(s *DijkstraScratch, t *SPT, src NodeID, stop []NodeID, h func(NodeID) float64) *SPT {
 	faultpoint.Check(faultpoint.SSSPExpand)
 	g.ensureCSR()
 	n := g.n
 	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
+	t.reset(n, src)
 	remaining := 0
 	for _, v := range stop {
 		if s.stop[v] != ep {

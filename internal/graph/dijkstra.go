@@ -113,11 +113,18 @@ func (g *Graph) DijkstraWithinScratch(s *DijkstraScratch, src NodeID, stop []Nod
 // counters bit-identical to the pre-CSR adjacency-list implementation
 // (LegacyDijkstra, retained as the parity oracle).
 func (g *Graph) dijkstraWith(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
+	return g.dijkstraInto(s, s.takeSPT(), src, stop)
+}
+
+// dijkstraInto is dijkstraWith writing into t, whose buffers it resizes
+// and reinitializes; the searches below take their tree the same way, so
+// a cache can run them on another goroutine's scratch (SPTCache.Warm).
+func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop []NodeID) *SPT {
 	faultpoint.Check(faultpoint.SSSPExpand)
 	g.ensureCSR()
 	n := g.n
 	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
+	t.reset(n, src)
 	remaining := -1 // < 0: no early termination
 	if stop != nil {
 		remaining = 0
@@ -355,20 +362,70 @@ func (c *SPTCache) Tree(src NodeID) *SPT {
 	if t, ok := c.lookup(src); ok {
 		return t
 	}
-	var t *SPT
-	switch {
-	case c.overlay != nil && c.bounds != nil && c.stop != nil:
-		t = c.g.goalDirectedOverlay(c.Scratch(), src, c.stop, c.overlay, c.bounds.ToSet(c.stop))
-	case c.overlay != nil:
-		t = c.g.dijkstraOverlayWith(c.Scratch(), src, c.stop, c.overlay)
-	case c.bounds != nil && c.stop != nil:
-		t = c.g.dijkstraBoundedWith(c.Scratch(), src, c.stop, c.bounds)
-	default:
-		t = c.g.dijkstraWith(c.Scratch(), src, c.stop)
-	}
+	s := c.Scratch()
+	t := c.search(s, s.takeSPT(), src)
 	c.trees[src] = t
 	c.Runs++
 	return t
+}
+
+// search runs the cache's configured search from src on scratch s, into t.
+func (c *SPTCache) search(s *DijkstraScratch, t *SPT, src NodeID) *SPT {
+	switch {
+	case c.overlay != nil && c.bounds != nil && c.stop != nil:
+		return c.g.goalDirectedOverlay(s, t, src, c.stop, c.overlay, c.bounds.ToSet(c.stop))
+	case c.overlay != nil:
+		return c.g.dijkstraOverlayWith(s, t, src, c.stop, c.overlay)
+	case c.bounds != nil && c.stop != nil:
+		return c.g.goalDirected(s, t, src, c.stop, c.bounds.ToSet(c.stop))
+	default:
+		return c.g.dijkstraInto(s, t, src, c.stop)
+	}
+}
+
+// Warm caches the tree rooted at every node of srcs that the cache lacks,
+// computed by the same search Tree would run, but leaves to the caller the
+// goroutines the searches run on. It takes each missing tree's buffers
+// from the cache's own scratch and freezes the graph's CSR view, then
+// calls run(n, fill) on the calling goroutine. run must call fill(i, s)
+// exactly once for every i in [0, n) and return only after every call has
+// returned. Calls for distinct i may run concurrently, each with a scratch
+// no other goroutine is using: fill reads only the graph, stop set, bounds
+// and overlay, which stay frozen while the cache is live, and writes only
+// tree i and s. When run returns, Warm caches the n trees (counting them
+// in Runs), so Release recycles their buffers into the cache's scratch,
+// never into the scratches the searches ran on. If run panics, nothing is
+// cached. Sources outside the graph are skipped, left for the caller's
+// own validation to report (steiner.CheckNet) rather than panicking on a
+// worker goroutine.
+//
+// A tree is a pure function of the graph state, stop set, bounds, overlay
+// and source; the scratch only supplies working memory. Warm therefore
+// caches exactly the trees that Tree calls would.
+func (c *SPTCache) Warm(srcs []NodeID, run func(n int, fill func(i int, s *DijkstraScratch))) {
+	todo := make([]*SPT, 0, len(srcs))
+	for _, v := range srcs {
+		if v < 0 || int(v) >= c.g.n {
+			continue
+		}
+		if _, ok := c.lookup(v); ok || slices.ContainsFunc(todo, func(t *SPT) bool { return t.Source == v }) {
+			continue
+		}
+		t := c.Scratch().takeSPT()
+		t.Source = v
+		todo = append(todo, t)
+	}
+	if len(todo) == 0 {
+		return
+	}
+	c.g.ensureCSR()
+	run(len(todo), func(i int, s *DijkstraScratch) {
+		c.search(s, todo[i], todo[i].Source)
+	})
+	for _, t := range todo {
+		c.trees[t.Source] = t
+	}
+	c.Runs += len(todo)
 }
 
 // Dist returns the shortest-path distance between u and v, computing (and

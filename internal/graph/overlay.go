@@ -67,12 +67,12 @@ func (o *Overlay) LoadBlocked(words []uint64) { copy(o.blocked, words) }
 // flow (early stop once the stop set is settled, deterministic tie-breaks by
 // arc order), with each arc's weight read as base + price and relaxations
 // into blocked nodes skipped. The source must not be blocked.
-func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, src NodeID, stop []NodeID, ov *Overlay) *SPT {
+func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, t *SPT, src NodeID, stop []NodeID, ov *Overlay) *SPT {
 	faultpoint.Check(faultpoint.SSSPExpand)
 	g.ensureCSR()
 	n := g.n
 	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
+	t.reset(n, src)
 	remaining := -1
 	if stop != nil {
 		remaining = 0
@@ -141,12 +141,12 @@ func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, src NodeID, stop []NodeI
 // set with heap keys Dist + h over priced effective weights. h must be
 // admissible and consistent for base + price (non-negative prices keep any
 // base-admissible bound valid, since effective weights only grow).
-func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, src NodeID, stop []NodeID, ov *Overlay, h func(NodeID) float64) *SPT {
+func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, t *SPT, src NodeID, stop []NodeID, ov *Overlay, h func(NodeID) float64) *SPT {
 	faultpoint.Check(faultpoint.SSSPExpand)
 	g.ensureCSR()
 	n := g.n
 	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
+	t.reset(n, src)
 	remaining := 0
 	for _, v := range stop {
 		if s.stop[v] != ep {

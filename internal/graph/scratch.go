@@ -120,14 +120,24 @@ func (s *DijkstraScratch) beginRun(n int) uint32 {
 // acquireSPT pops a recycled tree (or allocates one), sizes it for an
 // n-node graph and initializes every label to unreachable.
 func (s *DijkstraScratch) acquireSPT(n int, src NodeID) *SPT {
-	var t *SPT
+	return s.takeSPT().reset(n, src)
+}
+
+// takeSPT pops a recycled tree, or allocates an empty one; its labels are
+// stale until reset.
+func (s *DijkstraScratch) takeSPT() *SPT {
 	if k := len(s.free); k > 0 {
-		t = s.free[k-1]
+		t := s.free[k-1]
 		s.free[k-1] = nil
 		s.free = s.free[:k-1]
-	} else {
-		t = new(SPT)
+		return t
 	}
+	return new(SPT)
+}
+
+// reset sizes t for an n-node graph, growing its buffers only when their
+// capacity falls short, and initializes every label to unreachable.
+func (t *SPT) reset(n int, src NodeID) *SPT {
 	if cap(t.Dist) < n {
 		t.Dist = make([]float64, n)
 		t.ParentEdge = make([]EdgeID, n)

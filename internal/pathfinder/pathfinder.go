@@ -117,9 +117,12 @@ const (
 type Config struct {
 	// Algorithm selects the per-net construction (AlgIKMB default, AlgKMB).
 	Algorithm string
-	// Workers bounds the net-routing goroutines. 0 selects the default
-	// (GOMAXPROCS capped at 8); values below 1 force sequential routing.
-	// Results are bit-identical at every setting.
+	// Workers bounds the net-routing goroutines. It also sizes IKMB's
+	// fan-out inside a net (core.Options.Workers) when a pass routes one
+	// net at a time — the Gauss-Seidel passes and the polish pass — so
+	// those passes use the same CPUs. 0 selects the default (GOMAXPROCS
+	// capped at 8); values below 1 force sequential routing. Results are
+	// bit-identical at every setting.
 	Workers int
 	// MaxIters is the iteration budget before giving up (default 96).
 	MaxIters int
@@ -624,8 +627,9 @@ func (e *engine) routeAll(list []int32, iter int, presFac float64) error {
 // tree's resources for the nets after it — exactly the sequential
 // PathFinder semantics the frozen-price iterations approximate. Jitter is
 // omitted: sequential updates cannot livelock on symmetric ties. Runs on
-// the caller's goroutine; a first error aborts at the lowest net index by
-// construction.
+// the caller's goroutine, each net's construction fanning out over
+// Config.Workers goroutines inside the net; a first error aborts at the
+// lowest net index by construction.
 func (e *engine) routeSeq(list []int32, presFac float64) error {
 	wk := e.acquireWorkers(1)[0]
 	copy(wk.ov.Prices(), e.sharedPrice)
@@ -678,7 +682,7 @@ func (e *engine) routeSeq(list []int32, presFac float64) error {
 			wk.ov.Unblock(v)
 		}
 		start := time.Now()
-		tree, err := e.construct(wk, terms, net.Pins)
+		tree, err := e.construct(wk, terms, net.Pins, e.cfg.Workers)
 		e.cfg.Stats.ObserveNet(time.Since(start), err == nil)
 		for _, v := range terms {
 			wk.ov.Block(v)
@@ -751,7 +755,7 @@ func (e *engine) routeNet(wk *worker, idx, iter int, presFac float64) (graph.Tre
 		// No fragment worth keeping: the full rebuild rips the whole
 		// previous tree.
 		wk.ripped += int64(len(e.trees[idx].Edges))
-		tree, err = e.construct(wk, terms, net.Pins)
+		tree, err = e.construct(wk, terms, net.Pins, 1)
 	}
 	for _, id := range e.priced {
 		pr[id] = e.sharedPrice[id]
@@ -767,7 +771,13 @@ func (e *engine) routeNet(wk *worker, idx, iter int, presFac float64) (graph.Tre
 // bit-for-bit tie to the paper's Dijkstra reference (that binds only the
 // sequential oracle), and the fabric's coordinate bound stays admissible
 // under any non-negative pricing state.
-func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin) (graph.Tree, error) {
+//
+// workers is IKMB's fan-out inside the net (core.Options.Workers): the
+// concurrent iterations pass 1, because their nets already occupy the
+// worker budget, while the one-net-at-a-time passes pass Config.Workers
+// so the construction's terminal trees and candidate scans use the CPUs
+// the net level leaves idle. Trees are bit-identical either way.
+func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin, workers int) (graph.Tree, error) {
 	if len(terms) == 2 && terms[0] != terms[1] {
 		_, path, ok := e.g.BiDijkstraOverlay(wk.scratch, terms[0], terms[1], wk.ov)
 		if !ok {
@@ -790,17 +800,18 @@ func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin) (g
 	if e.cfg.Algorithm == AlgKMB {
 		return steiner.KMB(cache, terms)
 	}
-	// Candidate scans stay sequential inside each net: the parallelism
-	// budget belongs to the net level here, and nested fan-out would only
-	// thrash the scheduler.
 	tree, st, err := core.IGMSTStats(cache, terms, steiner.KMB, core.Options{
 		Candidates: pool,
 		Batched:    !e.cfg.SingleStep,
-		Workers:    1,
+		Workers:    workers,
 		Lazy:       e.cfg.Lazy,
 	})
 	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
 	e.cfg.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
+	e.cfg.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
+	// Forks search on their own scratches, which the run-end accounting of
+	// the workers' scratches (releaseWorkers) never sees.
+	e.cfg.Stats.AddSSSP(st.WorkerSSSPRuns, st.WorkerHeapPushes)
 	return tree, err
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -263,4 +265,80 @@ func TestChaosPathfinderWorkerPanicFunneled(t *testing.T) {
 		}
 	}()
 	_, _ = Route(fab, ckt.Nets, Config{Workers: 4})
+}
+
+// TestChaosSequentialPassWarmupPanicFunneled: in the one-net-at-a-time
+// passes a net's construction fans out over Workers goroutines, so a
+// panic in its terminal-tree warm-up must funnel to the caller like an
+// iteration worker's: as *faultpoint.GoroutinePanic with the warm-up
+// goroutine's stack, with every pooled scratch returned or discarded, and
+// with no trace on the next run. The fault is armed at the start of the
+// polish pass, which routes every net in index order: each 2-pin net
+// before the first multi-pin one costs exactly one search (a
+// bidirectional one on the engine goroutine), so the next search is that
+// net's first warm-up search.
+func TestChaosSequentialPassWarmupPanicFunneled(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	spec := specNamed(t, "term1")
+	fab, ckt := synth(t, spec, spec.PaperIKMB)
+	cfg := Config{Workers: 2}
+	want, err := Route(fab, ckt.Nets, cfg)
+	if err != nil || !want.Converged {
+		t.Fatalf("reference route failed: %v", err)
+	}
+	polish := 0
+	for i, st := range want.History {
+		if st.Overflow == 0 {
+			polish = i + 2 // iterations are 1-based; the polish pass is the next one
+			break
+		}
+	}
+	if polish == 0 || polish > want.Iterations {
+		t.Fatal("reference route never reached its polish pass")
+	}
+	nth := int64(1)
+	for _, n := range ckt.Nets {
+		if len(n.Pins) > 2 {
+			break
+		}
+		nth++
+	}
+
+	baseline := graph.LiveScratches()
+	armed := cfg
+	armed.hooks = &debugHooks{afterReprice: func(_ *engine, iter int, _ float64) {
+		if iter == polish {
+			faultpoint.Arm(faultpoint.SSSPExpand, faultpoint.Plan{Action: faultpoint.Panic, Nth: nth})
+		}
+	}}
+	func() {
+		defer func() {
+			p := recover()
+			if p == nil {
+				t.Fatal("armed warm-up panic did not propagate to the caller")
+			}
+			gp, ok := p.(*faultpoint.GoroutinePanic)
+			if !ok {
+				t.Fatalf("panic value %T, want *faultpoint.GoroutinePanic", p)
+			}
+			if _, ok := gp.Value.(*faultpoint.Injected); !ok {
+				t.Fatalf("funneled value %T, want *faultpoint.Injected", gp.Value)
+			}
+			if !strings.Contains(string(gp.Stack), "(*scanner).warm") {
+				t.Fatalf("panic did not come from the warm-up; worker stack:\n%s", gp.Stack)
+			}
+		}()
+		_, _ = Route(fab, ckt.Nets, armed)
+	}()
+	if live := graph.LiveScratches(); live != baseline {
+		t.Fatalf("scratch leak across warm-up panic: %d live, baseline %d", live, baseline)
+	}
+	faultpoint.Reset()
+	got, err := Route(fab, ckt.Nets, cfg)
+	if err != nil {
+		t.Fatalf("routing after recovered panic: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("route after the recovered panic differs from the unfaulted one")
+	}
 }

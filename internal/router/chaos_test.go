@@ -10,6 +10,7 @@ package router
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,6 +172,50 @@ func TestChaosScanWorkerPanicFunneled(t *testing.T) {
 		t.Fatalf("routing after recovered panic: %v", err)
 	}
 	resultsEqual(t, "post-panic-parity", want, after)
+}
+
+// TestChaosWarmupPanicFunneled: the same funnel for the terminal-tree
+// warm-up, which runs a net's first shortest-path searches on the scan
+// forks before any candidate is evaluated. Nets route highest fan-out
+// first, so the second search of the run is the first net's warm-up.
+func TestChaosWarmupPanicFunneled(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	ckt := synth(t, tinySpec(circuits.Series4000), 1)
+	opts := Options{MaxPasses: 8, CandidateWorkers: 4}
+	want, err := Route(ckt, 8, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := graph.LiveScratches()
+	faultpoint.Arm(faultpoint.SSSPExpand, faultpoint.Plan{Action: faultpoint.Panic, Nth: 2})
+	func() {
+		defer func() {
+			p := recover()
+			if p == nil {
+				t.Fatal("armed warm-up panic did not propagate to the caller")
+			}
+			gp, ok := p.(*faultpoint.GoroutinePanic)
+			if !ok {
+				t.Fatalf("panic value %T, want *faultpoint.GoroutinePanic", p)
+			}
+			if _, ok := gp.Value.(*faultpoint.Injected); !ok {
+				t.Fatalf("funneled value %T, want *faultpoint.Injected", gp.Value)
+			}
+			if !strings.Contains(string(gp.Stack), "(*scanner).warm") {
+				t.Fatalf("panic did not come from the warm-up; worker stack:\n%s", gp.Stack)
+			}
+		}()
+		Route(ckt, 8, opts)
+	}()
+	if live := graph.LiveScratches(); live != baseline {
+		t.Fatalf("scratch leak across warm-up panic: %d live, baseline %d", live, baseline)
+	}
+	faultpoint.Reset()
+	after, err := Route(ckt, 8, opts)
+	if err != nil {
+		t.Fatalf("routing after recovered panic: %v", err)
+	}
+	resultsEqual(t, "post-warm-up-panic-parity", want, after)
 }
 
 // TestChaosWidthProbePanicFunneled: the same funnel for width-probe

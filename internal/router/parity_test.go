@@ -153,3 +153,57 @@ func TestLazyScanWorkerInvarianceBusc(t *testing.T) {
 		}
 	}
 }
+
+// TestSSSPCountersWorkerInvariant: fanning a net's construction out over
+// worker goroutines moves shortest-path searches off the routing context's
+// scratch — the terminal-tree warm-up and any candidate-rooted search run
+// on the candidate scan's forks — but never changes which searches run.
+// The fork counts reach the collector through core.Stats, so the SSSP and
+// candidate counters of a route are the same at every worker count: in
+// the sequential router across CandidateWorkers, and in the pathfinder
+// across NetWorkers, whose one-net-at-a-time passes fan each net out over
+// NetWorkers goroutines. busc routes every net on its first try at its
+// paper width; a net whose pins are disconnected warms every terminal
+// tree before the base heuristic reports the failure, so routes with
+// failed nets can count more searches at higher worker counts.
+func TestSSSPCountersWorkerInvariant(t *testing.T) {
+	for _, c := range []struct {
+		name, circuit string
+		ref, other    Options
+	}{
+		{"sequential", "busc", Options{CandidateWorkers: 1}, Options{CandidateWorkers: 4}},
+		{"parallel", "term1", Options{Parallel: true, NetWorkers: 1}, Options{Parallel: true, NetWorkers: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec, ok := circuits.SpecByName(c.circuit)
+			if !ok {
+				t.Fatalf("%s spec missing", c.circuit)
+			}
+			ckt := synth(t, spec, 1)
+			run := func(opts Options) (*Result, stats.Snapshot) {
+				col := stats.New()
+				ctx := NewContext(col)
+				defer ctx.Close()
+				res, _, err := RouteWithFabricContext(nil, ctx, ckt, spec.PaperIKMB, opts)
+				if err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				return res, col.Snapshot()
+			}
+			refRes, ref := run(c.ref)
+			res, got := run(c.other)
+			if !reflect.DeepEqual(res, refRes) {
+				t.Fatal("Result diverges across worker counts")
+			}
+			if got.ParallelScans == 0 {
+				t.Fatal("no candidate scan fanned out: the fan-out path went untested")
+			}
+			if got.SSSPRuns != ref.SSSPRuns || got.HeapPushes != ref.HeapPushes ||
+				got.CandidateEvals != ref.CandidateEvals || got.SteinerPoints != ref.SteinerPoints {
+				t.Fatalf("counters {SSSP %d, pushes %d, evals %d, points %d} != single-worker {%d, %d, %d, %d}",
+					got.SSSPRuns, got.HeapPushes, got.CandidateEvals, got.SteinerPoints,
+					ref.SSSPRuns, ref.HeapPushes, ref.CandidateEvals, ref.SteinerPoints)
+			}
+		})
+	}
+}
