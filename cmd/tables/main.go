@@ -9,6 +9,7 @@
 //	tables -figure 14               # one figure experiment
 //	tables -quick -all              # reduced pass/net counts for a fast pass
 //	tables -figure 16 -svg out.svg  # also write the routing plot SVG
+//	tables -pathfinder              # both engines on the 14 paper circuits
 //
 // Absolute numbers depend on the synthesized netlists (see DESIGN.md §4);
 // the printed output includes the paper's published values alongside ours.
@@ -19,6 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"fpgarouter/internal/circuits"
@@ -39,6 +42,7 @@ func main() {
 		svgOut     = flag.String("svg", "", "write the Figure 16 SVG to this file")
 		tradeoff   = flag.Bool("tradeoff", false, "run the BRBC / Prim-Dijkstra trade-off study (Section 2 comparison)")
 		segment    = flag.String("segmentation", "", "run the channel-segmentation study on this circuit (e.g. term1)")
+		pathfind   = flag.Bool("pathfinder", false, "route every paper circuit at its paper width with both engines: iterations, wirelengths, wall times")
 		useStats   = flag.Bool("stats", false, "print aggregate router work counters after the sweeps")
 		benchOut   = flag.String("bench-json", "", "run the router micro-benchmarks and write JSON results to this file")
 		benchQuick = flag.Bool("bench-quick", false, "with -bench-json: skip the whole-circuit benchmarks (CI smoke subset)")
@@ -71,11 +75,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
-		if !*all && *table == 0 && *figure == 0 && !*tradeoff && *segment == "" {
+		if !*all && *table == 0 && *figure == 0 && !*tradeoff && *segment == "" && !*pathfind {
 			return
 		}
 	}
-	if !*all && *table == 0 && *figure == 0 && !*tradeoff && *segment == "" && *benchOut == "" {
+	if !*all && *table == 0 && *figure == 0 && !*tradeoff && *segment == "" && *benchOut == "" && !*pathfind {
 		flag.Usage()
 		exit(2)
 	}
@@ -225,6 +229,16 @@ func main() {
 			return nil
 		})
 	}
+	if *pathfind {
+		run("Pathfinder table", func() error {
+			rows, err := experiments.PathfinderTable(cfg)
+			if err != nil {
+				return err
+			}
+			experiments.PrintPathfinderTable(os.Stdout, rows, runtime.GOMAXPROCS(0), commit())
+			return nil
+		})
+	}
 	if wantFig(16) {
 		run("Figure 16", func() error {
 			r, err := experiments.Figure16(cfg)
@@ -241,4 +255,26 @@ func main() {
 			return nil
 		})
 	}
+}
+
+// commit returns the VCS revision stamped into the binary (go build in a
+// git checkout stamps it; go run does not), marked "+dirty" when the tree
+// had local changes.
+func commit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", ""
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value[:min(12, len(s.Value))]
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	return rev + dirty
 }
