@@ -134,7 +134,7 @@ func (lz *lazyQueue) round(st *Stats, sc *scanner, bestCost float64, spanned []g
 		for _, i := range order[pos:end] {
 			sc.targets = append(sc.targets, pool[i])
 		}
-		evals := sc.evaluate(st, spanned)
+		evals := sc.evaluate(st, spanned, graph.Inf())
 		evaluated += len(evals)
 		for k, ev := range evals {
 			i := order[pos+k]
@@ -188,7 +188,7 @@ func (lz *lazyQueue) round(st *Stats, sc *scanner, bestCost float64, spanned []g
 func (lz *lazyQueue) fullRescan(st *Stats, sc *scanner, bestCost float64, spanned []graph.NodeID, inNS map[graph.NodeID]bool, pool []graph.NodeID, alreadyEvaluated int) []scanEval {
 	st.FullRescans++
 	st.EvaluationsSaved -= int64(alreadyEvaluated)
-	evals := sc.scan(st, spanned, inNS, pool)
+	evals := sc.scan(st, spanned, inNS, pool, graph.Inf())
 	for _, ev := range evals {
 		i := lz.poolIdx[ev.t]
 		if ev.err != nil {

@@ -35,12 +35,20 @@ func scanWorkers(opts Options) int {
 
 // scanEval is one candidate's outcome in a scan round. Rounds produce evals
 // in pool order regardless of how the scan was sharded, so every reduction
-// over them reproduces the sequential scan's tie-breaking exactly.
+// over them reproduces the sequential scan's tie-breaking exactly. A
+// screened candidate has no sol: the screen proved it cannot improve the
+// round's incumbent, so every fold skips it, as it skips errors.
 type scanEval struct {
-	t   graph.NodeID
-	sol graph.Tree
-	err error
+	t        graph.NodeID
+	sol      graph.Tree
+	err      error
+	screened bool
 }
+
+// screenedHeuristic is a base heuristic with a certified screen (see
+// steiner.KMBScreened): it returns H's exact tree, or screened true when
+// H's cost c certainly satisfies fl(best − c) ≤ eps.
+type screenedHeuristic func(cache *graph.SPTCache, net []graph.NodeID, best, eps float64) (graph.Tree, bool, error)
 
 // scanner evaluates the base heuristic over a round's candidate pool,
 // either inline on the shared cache (workers == 1, the regression oracle)
@@ -52,8 +60,11 @@ type scanEval struct {
 // rounds to keep their scratch warm; close returns them to the
 // process-wide pool.
 type scanner struct {
-	cache   *graph.SPTCache
-	H       steiner.Heuristic
+	cache *graph.SPTCache
+	H     steiner.Heuristic
+	// screen, when non-nil, is H with a certified screen, and evaluate
+	// calls it instead of H.
+	screen  screenedHeuristic
 	workers int
 	forks   []*graph.SPTCache // per-worker cache views (nil when sequential)
 	bufs    [][]graph.NodeID  // per-worker terminal buffers
@@ -72,8 +83,8 @@ type scanner struct {
 	poisoned []bool
 }
 
-func newScanner(cache *graph.SPTCache, H steiner.Heuristic, opts Options) *scanner {
-	s := &scanner{cache: cache, H: H, workers: scanWorkers(opts)}
+func newScanner(cache *graph.SPTCache, H steiner.Heuristic, screen screenedHeuristic, opts Options) *scanner {
+	s := &scanner{cache: cache, H: H, screen: screen, workers: scanWorkers(opts)}
 	if s.workers > 1 {
 		s.forks = make([]*graph.SPTCache, s.workers)
 		s.bufs = make([][]graph.NodeID, s.workers)
@@ -122,23 +133,27 @@ func withTerm(buf *[]graph.NodeID, spanned []graph.NodeID, t graph.NodeID) []gra
 }
 
 // scan evaluates H(G, spanned ∪ {t}) for every pool candidate t not in inNS,
-// returning outcomes in pool order and accounting the work into st. The
-// returned slice is reused by the next round.
-func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]bool, pool []graph.NodeID) []scanEval {
+// returning outcomes in pool order and accounting the work into st. best is
+// the cost of the solution the round's candidates must improve on (see
+// evaluate). The returned slice is reused by the next round.
+func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]bool, pool []graph.NodeID, best float64) []scanEval {
 	s.targets = s.targets[:0]
 	for _, t := range pool {
 		if !inNS[t] {
 			s.targets = append(s.targets, t)
 		}
 	}
-	return s.evaluate(st, spanned)
+	return s.evaluate(st, spanned, best)
 }
 
 // evaluate runs H over s.targets (set by the caller), inline on the shared
 // cache or sharded over the worker forks, returning outcomes in target order.
-// The lazy scan calls this directly with queue bursts; the returned slice is
-// reused by the next evaluation.
-func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID) []scanEval {
+// With a screen, a candidate whose cost provably cannot beat best by more
+// than gainEps comes back screened instead of with a tree; best = +Inf
+// screens nothing, which is what the lazy scan passes, since it keeps every
+// fresh gain as a value. The lazy scan calls this directly with queue
+// bursts; the returned slice is reused by the next evaluation.
+func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID, best float64) []scanEval {
 	n := len(s.targets)
 	st.Evaluations += int64(n)
 	if cap(s.evals) < n {
@@ -147,9 +162,9 @@ func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID) []scanEval {
 	evals := s.evals[:n]
 	if s.workers == 1 || n < 2 {
 		for i, t := range s.targets {
-			sol, err := s.H(s.cache, withTerm(&s.termBuf, spanned, t))
-			evals[i] = scanEval{t, sol, err}
+			evals[i] = s.eval(s.cache, withTerm(&s.termBuf, spanned, t), t, best)
 		}
+		st.countScreened(evals)
 		return evals
 	}
 	w := min(s.workers, n)
@@ -163,8 +178,7 @@ func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID) []scanEval {
 		for i := k * per; i < min((k+1)*per, n); i++ {
 			faultpoint.Check(faultpoint.ScanWorker)
 			t := s.targets[i]
-			sol, err := s.H(fork, withTerm(&s.bufs[k], spanned, t))
-			evals[i] = scanEval{t, sol, err}
+			evals[i] = s.eval(fork, withTerm(&s.bufs[k], spanned, t), t, best)
 		}
 		cpu[k] = time.Since(t0)
 	})
@@ -173,7 +187,28 @@ func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID) []scanEval {
 	for _, d := range cpu {
 		st.ScanCPU += d
 	}
+	st.countScreened(evals)
 	return evals
+}
+
+// eval evaluates candidate t, whose terminal list is terms, on cache:
+// through the screen against best when there is one, through H otherwise.
+func (s *scanner) eval(cache *graph.SPTCache, terms []graph.NodeID, t graph.NodeID, best float64) scanEval {
+	if s.screen == nil {
+		sol, err := s.H(cache, terms)
+		return scanEval{t: t, sol: sol, err: err}
+	}
+	sol, screened, err := s.screen(cache, terms, best, gainEps)
+	return scanEval{t, sol, err, screened}
+}
+
+// countScreened adds the screened evaluations to st.Screened.
+func (st *Stats) countScreened(evals []scanEval) {
+	for _, ev := range evals {
+		if ev.screened {
+			st.Screened++
+		}
+	}
 }
 
 // warm computes the shortest-path tree of every net terminal the cache

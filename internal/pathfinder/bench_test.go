@@ -24,18 +24,19 @@ func BenchmarkRouteBuscIncremental(b *testing.B) {
 
 // TestRouteAllocsBounded pins the per-run pooling: workers, overlays and
 // reconnect buffers are acquired once per run and reused by every
-// iteration, and a KMB evaluation allocates only the tree it returns, so a
-// whole incremental route allocates a bounded amount — dominated by the
-// per-run engine arrays and the per-net trees, not by anything
-// per-iteration or per-candidate. The threshold is ~2× the measured
-// steady-state count (67,455 for term1 at the paper width, sequential
-// workers, the same with and without -race), so it fires on a structural
-// regression such as re-acquiring scratch or overlays inside the
-// iteration loop, or a per-call buffer back in the Steiner evaluation.
-// At two workers the one-net-at-a-time passes fan each construction out
-// over scan forks (about 69,600 allocations); the same limit holds there,
-// so the forks' per-net setup must stay a constant, not a per-tree or
-// per-candidate cost.
+// iteration, a KMB evaluation allocates only the tree it returns, and one
+// the IKMB screen rules out allocates nothing, so a whole incremental
+// route allocates a bounded amount — dominated by the per-run engine
+// arrays and the per-net trees, not by anything per-iteration or
+// per-candidate. The threshold is ~2× the measured steady-state count
+// (9,604 for term1 at the paper width, sequential workers), so it fires on
+// a structural regression such as re-acquiring scratch or overlays inside
+// the iteration loop, a per-call buffer back in the Steiner evaluation, or
+// screened-out candidates building trees again. At two workers the
+// one-net-at-a-time passes fan each construction out over scan forks
+// (about 11,700 allocations); the same limit holds there, so the forks'
+// per-net setup must stay a constant, not a per-tree or per-candidate
+// cost.
 func TestRouteAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is a long-mode check")
@@ -55,7 +56,7 @@ func TestRouteAllocsBounded(t *testing.T) {
 			}
 		})
 		t.Logf("incremental route, %d workers: %.0f allocations", workers, allocs)
-		const limit = 135000
+		const limit = 20000
 		if allocs > limit {
 			t.Fatalf("incremental route at %d workers allocated %.0f objects, limit %d — per-iteration or per-candidate state is no longer pooled", workers, allocs, limit)
 		}

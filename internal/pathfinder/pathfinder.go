@@ -800,13 +800,13 @@ func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin, wo
 	if e.cfg.Algorithm == AlgKMB {
 		return steiner.KMB(cache, terms)
 	}
-	tree, st, err := core.IGMSTStats(cache, terms, steiner.KMB, core.Options{
+	tree, st, err := core.IKMBStats(cache, terms, core.Options{
 		Candidates: pool,
 		Batched:    !e.cfg.SingleStep,
 		Workers:    workers,
 		Lazy:       e.cfg.Lazy,
 	})
-	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
+	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.Screened, st.PointsChosen)
 	e.cfg.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 	e.cfg.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
 	// Forks search on their own scratches, which the run-end accounting of

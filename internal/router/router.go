@@ -532,10 +532,11 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 	defer cache.Release()
 	iterOpts := core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers, Lazy: opts.LazyScan}
 	// record forwards an iterated construction's work counters — candidate
-	// evaluations, admitted points, lazy-queue savings, and the parallel
-	// scans' wall/CPU split — to the context's collector.
+	// evaluations, screened candidates, admitted points, lazy-queue
+	// savings, and the parallel scans' wall/CPU split — to the context's
+	// collector.
 	record := func(st core.Stats) {
-		ctx.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
+		ctx.Stats.AddCandidateWork(st.Evaluations, st.Screened, st.PointsChosen)
 		ctx.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 		ctx.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
 		// Worker forks run Dijkstra on their own scratch, invisible to the
@@ -556,7 +557,7 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 	case AlgPFA:
 		return arbor.PFA(cache, terms)
 	case AlgIKMB:
-		tree, st, err := core.IGMSTStats(cache, terms, steiner.KMB, iterOpts)
+		tree, st, err := core.IKMBStats(cache, terms, iterOpts)
 		record(st)
 		return tree, err
 	case AlgISPH:

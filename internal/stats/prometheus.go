@@ -23,6 +23,7 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string) {
 	counter("ripups_total", "Nets ripped up after failed passes.", s.RipUps)
 	counter("width_probes_total", "Route calls issued by channel-width searches.", s.WidthProbes)
 	counter("candidate_evals_total", "Steiner-candidate evaluations.", s.CandidateEvals)
+	counter("candidates_screened_total", "Steiner-candidate evaluations the IKMB cost screen ruled out without building a tree.", s.Screened)
 	counter("steiner_points_total", "Steiner points admitted.", s.SteinerPoints)
 	counter("lazy_scan_hits_total", "Scan rounds the lazy queue served with a partial evaluation.", s.LazyHits)
 	counter("full_rescans_total", "Lazy-scan exactness fallbacks to an exhaustive rescan.", s.FullRescans)

@@ -35,6 +35,7 @@ type Collector struct {
 	ripUps       atomic.Int64
 	widthProbes  atomic.Int64
 	candEvals    atomic.Int64
+	screened     atomic.Int64
 	steinerPts   atomic.Int64
 	lazyHits     atomic.Int64
 	fullRescans  atomic.Int64
@@ -120,12 +121,14 @@ func (c *Collector) AddWidthProbe() {
 }
 
 // AddCandidateWork records an iterated construction's candidate-scan work:
-// evals base-heuristic evaluations and points admitted Steiner points.
-func (c *Collector) AddCandidateWork(evals, points int64) {
+// evals base-heuristic evaluations, screened of them ruled out by IKMB's
+// cost screen without building a tree, and points admitted Steiner points.
+func (c *Collector) AddCandidateWork(evals, screened, points int64) {
 	if c == nil {
 		return
 	}
 	c.candEvals.Add(evals)
+	c.screened.Add(screened)
 	c.steinerPts.Add(points)
 }
 
@@ -280,6 +283,9 @@ type Snapshot struct {
 	RipUps         int64
 	WidthProbes    int64
 	CandidateEvals int64
+	// Screened counts the CandidateEvals that IKMB's cost screen ruled out
+	// without building a tree.
+	Screened       int64
 	SteinerPoints  int64
 	LazyHits       int64
 	FullRescans    int64
@@ -329,6 +335,7 @@ func (c *Collector) Snapshot() Snapshot {
 		RipUps:         c.ripUps.Load(),
 		WidthProbes:    c.widthProbes.Load(),
 		CandidateEvals: c.candEvals.Load(),
+		Screened:       c.screened.Load(),
 		SteinerPoints:  c.steinerPts.Load(),
 		LazyHits:       c.lazyHits.Load(),
 		FullRescans:    c.fullRescans.Load(),
@@ -368,7 +375,7 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "  SSSP runs          %d (heap pushes %d)\n", s.SSSPRuns, s.HeapPushes)
 	fmt.Fprintf(&b, "  nets routed        %d (failures %d, rip-ups %d)\n", s.NetsRouted, s.NetFailures, s.RipUps)
 	fmt.Fprintf(&b, "  passes             %d (width probes %d)\n", s.Passes, s.WidthProbes)
-	fmt.Fprintf(&b, "  candidate evals    %d (Steiner points admitted %d)\n", s.CandidateEvals, s.SteinerPoints)
+	fmt.Fprintf(&b, "  candidate evals    %d (screened %d, Steiner points admitted %d)\n", s.CandidateEvals, s.Screened, s.SteinerPoints)
 	if s.LazyHits+s.FullRescans+s.EvalsSaved != 0 {
 		fmt.Fprintf(&b, "  lazy scan          hits %d, full rescans %d, evaluations saved %d\n",
 			s.LazyHits, s.FullRescans, s.EvalsSaved)

@@ -19,7 +19,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.AddPass()
 	c.AddRipUps(2)
 	c.AddWidthProbe()
-	c.AddCandidateWork(5, 1)
+	c.AddCandidateWork(5, 3, 1)
 	c.RecordCongestion([]int32{1, 2}, 4)
 	if s := c.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil collector snapshot %+v", s)
@@ -37,7 +37,7 @@ func TestCountersAccumulate(t *testing.T) {
 	c.AddPass()
 	c.AddRipUps(4)
 	c.AddWidthProbe()
-	c.AddCandidateWork(100, 7)
+	c.AddCandidateWork(100, 60, 7)
 	s := c.Snapshot()
 	if s.SSSPRuns != 5 || s.HeapPushes != 50 {
 		t.Fatalf("SSSP %d/%d", s.SSSPRuns, s.HeapPushes)
@@ -51,8 +51,8 @@ func TestCountersAccumulate(t *testing.T) {
 	if s.Passes != 2 || s.RipUps != 4 || s.WidthProbes != 1 {
 		t.Fatalf("passes %d ripups %d probes %d", s.Passes, s.RipUps, s.WidthProbes)
 	}
-	if s.CandidateEvals != 100 || s.SteinerPoints != 7 {
-		t.Fatalf("candidates %d/%d", s.CandidateEvals, s.SteinerPoints)
+	if s.CandidateEvals != 100 || s.Screened != 60 || s.SteinerPoints != 7 {
+		t.Fatalf("candidates %d/%d/%d", s.CandidateEvals, s.Screened, s.SteinerPoints)
 	}
 }
 
@@ -114,8 +114,10 @@ func TestSnapshotString(t *testing.T) {
 	c := New()
 	c.AddSSSP(12, 345)
 	c.AddPass()
+	c.AddCandidateWork(72767, 71000, 80)
 	out := c.Snapshot().String()
-	for _, want := range []string{"router stats:", "SSSP runs", "12", "345", "congestion"} {
+	for _, want := range []string{"router stats:", "SSSP runs", "12", "345", "congestion",
+		"candidate evals    72767 (screened 71000, Steiner points admitted 80)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
@@ -127,6 +129,7 @@ func TestSnapshotWritePrometheus(t *testing.T) {
 	c.AddSSSP(12, 345)
 	c.AddPass()
 	c.AddWidthProbe()
+	c.AddCandidateWork(9, 4, 1)
 	c.ObserveNet(1500*time.Microsecond, true)
 	c.RecordCongestion([]int32{0, 5, 10}, 10)
 	var b strings.Builder
@@ -138,6 +141,8 @@ func TestSnapshotWritePrometheus(t *testing.T) {
 		"fpgarouter_heap_pushes_total 345",
 		"fpgarouter_passes_total 1",
 		"fpgarouter_width_probes_total 1",
+		"# TYPE fpgarouter_candidates_screened_total counter",
+		"fpgarouter_candidates_screened_total 4",
 		"fpgarouter_net_time_seconds_total 0.0015",
 		`fpgarouter_span_utilization_spans{decile="0"} 1`,
 		`fpgarouter_span_utilization_spans{decile="9"} 1`,

@@ -11,10 +11,11 @@ import (
 // TestKMBAllocsWarmCache pins the allocation-free base-heuristic
 // evaluation: on a warm cache, one KMB call for six terminals plus a
 // Steiner candidate — the call the IGMST scan makes per candidate —
-// allocates only the edge slice of the tree it returns. Every working slice
-// lives on the cache's scratch, so this holds under -race too (no
-// sync.Pool on the path). Covered: a plain cache, an overlay-priced cache
-// (the pathfinder's) and a scan-worker fork.
+// allocates only the edge slice of the tree it returns, and the same call
+// screened out by KMBScreened allocates nothing. Every working slice lives
+// on the cache's scratch, so this holds under -race too (no sync.Pool on
+// the path). Covered: a plain cache, an overlay-priced cache (the
+// pathfinder's) and a scan-worker fork.
 func TestKMBAllocsWarmCache(t *testing.T) {
 	grid := graph.NewGrid(12, 12, 1)
 	g := grid.Graph
@@ -63,6 +64,18 @@ func TestKMBAllocsWarmCache(t *testing.T) {
 			}
 			if allocs > 1 {
 				t.Fatalf("KMB made %.0f allocations per call on a warm cache, want ≤ 1 (the returned edge slice)", allocs)
+			}
+			// Against an incumbent it only ties, the candidate is screened
+			// out: no tree, no allocation.
+			var screened bool
+			allocs = testing.AllocsPerRun(50, func() {
+				_, screened, err = KMBScreened(cache, net, want.Cost, 1e-9)
+			})
+			if err != nil || !screened {
+				t.Fatalf("KMBScreened against its own cost: screened %v, err %v", screened, err)
+			}
+			if allocs != 0 {
+				t.Fatalf("a screened-out KMBScreened call made %.0f allocations, want 0", allocs)
 			}
 		})
 	}

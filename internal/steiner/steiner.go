@@ -127,38 +127,56 @@ func (dg *DistanceGraph) ExpandEdges(cache *graph.SPTCache, ids []graph.EdgeID) 
 //
 // This is the hot path of every candidate-Steiner-node evaluation in the
 // iterated constructions (see DESIGN.md §5), so it allocates nothing on a
-// warm scratch: dedup and remapping run on the cache's epoch sets, and the
-// sort keys, union-find and result live in the scratch's TreeBuffers. Each
-// edge's weight is read once into its key, as the cache's effective weight
-// (base + overlay price, when an overlay is attached) so the MST agrees
-// with the searches that produced the edge set. The keys sort by (weight,
-// ID), a total order, so the result is independent of the input order and
-// of repeats. The result aliases TreeBuffers.MST and is valid until the next
-// call. It acquires the cache's EdgeSet and NodeSet, invalidating any the
-// caller still holds.
+// warm scratch. The result aliases TreeBuffers.MST and is valid until the
+// next call. It acquires the cache's EdgeSet and NodeSet, invalidating any
+// the caller still holds.
 func localMST(cache *graph.SPTCache, edges []graph.EdgeID) []graph.EdgeID {
+	keys, nodes, _ := unionKeys(cache, edges)
+	return kruskal(cache, keys, nodes)
+}
+
+// unionKeys deduplicates edges into TreeBuffers.Keys, one key per distinct
+// edge in first-occurrence order, and gives each endpoint a dense slot in
+// the cache's NodeSet, which it returns still live for kruskal. Dedup and
+// remapping run on the cache's epoch sets (it acquires the EdgeSet and the
+// NodeSet). Each key holds the edge's weight as the cache's searches see
+// it (base + overlay price, when an overlay is attached), read once, so
+// the MST agrees with the searches that produced the edge set. sum is the
+// naive sum of the distinct edges' base weights in key order — the cost
+// of the union, which KMBScreened's screen bounds.
+func unionKeys(cache *graph.SPTCache, edges []graph.EdgeID) (keys []graph.WeightedEdge, nodes graph.NodeSet, sum float64) {
 	g := cache.Graph()
 	b := cache.Scratch().TreeBuffers()
 	seen := cache.EdgeSet()
-	remap := cache.NodeSet()
-	keys := b.Keys[:0]
+	nodes = cache.NodeSet()
+	keys = b.Keys[:0]
 	for _, e := range edges {
 		if seen.Add(e) {
 			keys = append(keys, graph.WeightedEdge{W: cache.EdgeWeight(e), ID: e})
 			ge := g.Edge(e)
-			remap.Slot(ge.U)
-			remap.Slot(ge.V)
+			sum += ge.W
+			nodes.Slot(ge.U)
+			nodes.Slot(ge.V)
 		}
 	}
 	b.Keys = keys
+	return keys, nodes, sum
+}
+
+// kruskal sorts unionKeys' keys by (weight, ID), a total order, so the
+// result is independent of the input order and of repeats, and returns the
+// MST over nodes' slots in sorted order, in TreeBuffers.MST.
+func kruskal(cache *graph.SPTCache, keys []graph.WeightedEdge, nodes graph.NodeSet) []graph.EdgeID {
+	g := cache.Graph()
+	b := cache.Scratch().TreeBuffers()
 	slices.SortFunc(keys, func(x, y graph.WeightedEdge) int {
 		return cmp.Or(cmp.Compare(x.W, y.W), cmp.Compare(x.ID, y.ID))
 	})
-	b.UF.Reset(remap.Len())
+	b.UF.Reset(nodes.Len())
 	mst := b.MST[:0]
 	for _, k := range keys {
 		ge := g.Edge(k.ID)
-		if b.UF.Union(remap.Slot(ge.U), remap.Slot(ge.V)) {
+		if b.UF.Union(nodes.Slot(ge.U), nodes.Slot(ge.V)) {
 			mst = append(mst, k.ID)
 		}
 	}
