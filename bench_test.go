@@ -339,12 +339,13 @@ func BenchmarkIKMB_Unpooled(b *testing.B) {
 	}
 }
 
-// BenchmarkCandidateScan measures the iterated template's candidate-scan
-// round at fixed worker counts on a denser instance (|V| = 400, |N| = 8,
-// full-graph pool) where one round carries enough base-heuristic work for
-// sharding to matter. Seq (workers=1) is the regression oracle the parallel
-// scan is guaranteed bit-identical to; interpret the pair together with the
-// GOMAXPROCS it ran under.
+// BenchmarkCandidateScan measures IKMB's candidate-scan rounds, screened as
+// the routers run them (core.IKMBStats), at fixed worker counts on a
+// denser instance (|V| = 400, |N| = 8, full-graph pool) where one round
+// carries enough base-heuristic work for sharding to matter. Seq
+// (workers=1) is the regression oracle the parallel scan is guaranteed
+// bit-identical to; interpret the pair together with the GOMAXPROCS it ran
+// under.
 func BenchmarkCandidateScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.RandomConnected(rng, 400, 3000, 10)
@@ -359,7 +360,7 @@ func BenchmarkCandidateScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cache := graph.NewSPTCache(g).WithScratch(s)
-				if _, _, err := core.IGMSTStats(cache, net, steiner.KMB, core.Options{Workers: c.workers}); err != nil {
+				if _, _, err := core.IKMBStats(cache, net, core.Options{Workers: c.workers}); err != nil {
 					b.Fatal(err)
 				}
 				cache.Release()

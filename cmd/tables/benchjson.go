@@ -23,7 +23,6 @@ import (
 	"fpgarouter/internal/graph"
 	"fpgarouter/internal/router"
 	"fpgarouter/internal/stats"
-	"fpgarouter/internal/steiner"
 )
 
 // BenchResult is one benchmark's outcome in the emitted JSON file.
@@ -137,20 +136,21 @@ func writeBenchJSON(path string, quick bool) error {
 		return err
 	}
 	mwOpts := router.Options{MaxPasses: 6}
-	// benchScan measures the iterated template end-to-end at a fixed worker
-	// count; the Seq/Par pair isolates the candidate-scan parallelization
-	// (identical work, identical results, different fan-out) and the Lazy
-	// pair isolates the stale-gain queue (identical results on this
-	// fixture — its gains stay diminishing — and far fewer evaluations;
-	// see core.lazyQueue for the exactness contract on instances where
-	// they do not).
+	// benchScan measures IKMB as the routers run it (core.IKMBStats, with
+	// the certified screen in exhaustive scans) end-to-end at a fixed
+	// worker count; the Seq/Par pair isolates the candidate-scan
+	// parallelization (identical work, identical results, different
+	// fan-out) and the Lazy pair isolates the stale-gain queue, whose
+	// rounds screen nothing (identical results on this fixture — its gains
+	// stay diminishing — and far fewer evaluations; see core.lazyQueue for
+	// the exactness contract on instances where they do not).
 	benchScan := func(workers int, lazy bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			s := graph.NewDijkstraScratch()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cache := graph.NewSPTCache(sg).WithScratch(s)
-				if _, _, err := core.IGMSTStats(cache, snet, steiner.KMB, core.Options{Workers: workers, Lazy: lazy}); err != nil {
+				if _, _, err := core.IKMBStats(cache, snet, core.Options{Workers: workers, Lazy: lazy}); err != nil {
 					b.Fatal(err)
 				}
 				cache.Release()
@@ -162,7 +162,7 @@ func writeBenchJSON(path string, quick bool) error {
 	scanWork := func(workers int, lazy bool) (evals, saved int64) {
 		cache := graph.NewSPTCache(sg)
 		defer cache.Release()
-		_, st, err := core.IGMSTStats(cache, snet, steiner.KMB, core.Options{Workers: workers, Lazy: lazy})
+		_, st, err := core.IKMBStats(cache, snet, core.Options{Workers: workers, Lazy: lazy})
 		if err != nil {
 			return 0, 0
 		}
