@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"fpgarouter/internal/circuits"
 	"fpgarouter/internal/router"
@@ -240,6 +241,32 @@ func TestSegmentationStudyRuns(t *testing.T) {
 	for _, r := range rows[1:] {
 		if r.Routed && r.Switches >= rows[0].Switches && r.Wirelength <= rows[0].Wirelength {
 			t.Fatalf("segmentation gave more switches at no extra wirelength: %+v vs %+v", r, rows[0])
+		}
+	}
+}
+
+// TestPrintPathfinderTable pins the tables -pathfinder layout: a header
+// naming the machine parallelism and the commit, one Markdown row per
+// circuit with the wirelength difference relative to the sequential
+// router, and a totals row.
+func TestPrintPathfinderTable(t *testing.T) {
+	busc, _ := circuits.SpecByName("busc")
+	dma, _ := circuits.SpecByName("dma")
+	rows := []PathfinderRow{
+		{Spec: busc, Iterations: 17, ParWL: 990, SeqWL: 1000, ParTime: 1500 * time.Millisecond, SeqTime: 500 * time.Millisecond},
+		{Spec: dma, Iterations: 20, ParWL: 2020, SeqWL: 2000, ParTime: 2 * time.Second, SeqTime: time.Second},
+	}
+	var b strings.Builder
+	PrintPathfinderTable(&b, rows, 2, "abc123")
+	out := b.String()
+	for _, want := range []string{
+		"(gomaxprocs 2, commit abc123)",
+		"| busc | 7 | 17 | 990.0 | 1000.0 | -1.00 % | 1.50 s | 0.50 s |",
+		"| dma | 9 | 20 | 2020.0 | 2000.0 | +1.00 % | 2.00 s | 1.00 s |",
+		"| total | | | 3010.0 | 3000.0 | +0.33 % | 3.50 s | 1.50 s |",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("table missing %q:\n%s", want, out)
 		}
 	}
 }
