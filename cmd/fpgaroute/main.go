@@ -43,8 +43,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abandon the run after this long (0 = unbounded)")
 		workers  = flag.Int("cand-workers", 0, "candidate-scan worker goroutines per net (0 = GOMAXPROCS capped at 8, 1 = sequential)")
 		single   = flag.Bool("single", false, "single-step Steiner-point admission (one candidate per scan round, the paper's Figure 5 template)")
-		lazy     = flag.Bool("lazy", false, "lazy-greedy candidate scans (stale-gain queue with exactness fallback; far fewer evaluations, wirelength may deviate <0.1%; arms under -single)")
-		goal     = flag.Bool("goal", false, "goal-directed search (A* toward each net's pins under the fabric's coordinate bound, bidirectional Dijkstra for 2-pin nets; exact costs, equal-cost paths may differ; always on under -parallel)")
 		parallel = flag.Bool("parallel", false, "net-parallel negotiated-congestion routing (internal/pathfinder): all nets route concurrently each iteration against Lagrangian edge prices")
 		netWork  = flag.Int("net-workers", 0, "net-routing worker goroutines in -parallel mode (0 = GOMAXPROCS capped at 8; results are identical for any worker count)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -109,7 +107,7 @@ func main() {
 			exit(1)
 		}
 	}
-	opts := router.Options{Algorithm: *alg, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *single, LazyScan: *lazy, GoalDirected: *goal, Parallel: *parallel, NetWorkers: *netWork}
+	opts := router.Options{Algorithm: *alg, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *single, Parallel: *parallel, NetWorkers: *netWork}
 	if *critical != "" {
 		for _, tok := range strings.Split(*critical, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(tok))

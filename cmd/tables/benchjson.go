@@ -37,13 +37,11 @@ type BenchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	GoMaxProcs  int     `json:"gomaxprocs"`
-	// EvalsPerOp and EvalsSavedPerOp are recorded for the CandidateScan
-	// entries: base-heuristic evaluations one operation performs, and how
-	// many the lazy queue avoided versus the exhaustive scan. They come
-	// from one untimed instrumented run (the construction is
-	// deterministic, so every timed iteration does identical work).
-	EvalsPerOp      int64 `json:"evals_per_op,omitempty"`
-	EvalsSavedPerOp int64 `json:"evals_saved_per_op,omitempty"`
+	// EvalsPerOp is recorded for the CandidateScan entries: the
+	// base-heuristic evaluations one operation performs, from one untimed
+	// instrumented run (the construction is deterministic, so every timed
+	// iteration does identical work).
+	EvalsPerOp int64 `json:"evals_per_op,omitempty"`
 	// ExpandedNodesPerOp is recorded for the SSSP entries: nodes settled by
 	// one operation (from one untimed instrumented run — the searches are
 	// deterministic). It is the work metric that separates goal-directed
@@ -110,10 +108,9 @@ func benchInstance(seed int64) (*graph.Graph, []graph.NodeID) {
 
 // scanInstance is a denser instance sized so one IGMST candidate-scan round
 // does enough base-heuristic work for sharding to be visible, and the net
-// is wide enough that the construction admits several Steiner points —
-// multiple scan rounds are what the lazy queue amortizes its priming scan
-// over (|V| = 400, |E| = 3000, |N| = 12, full-graph candidate pool,
-// 3 admissions at seed 2).
+// is wide enough that the construction admits several Steiner points, so
+// it runs several scan rounds (|V| = 400, |E| = 3000, |N| = 12, full-graph
+// candidate pool, 3 admissions at seed 2).
 func scanInstance(seed int64) (*graph.Graph, []graph.NodeID) {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomConnected(rng, 400, 3000, 10)
@@ -140,17 +137,14 @@ func writeBenchJSON(path string, quick bool) error {
 	// the certified screen in exhaustive scans) end-to-end at a fixed
 	// worker count; the Seq/Par pair isolates the candidate-scan
 	// parallelization (identical work, identical results, different
-	// fan-out) and the Lazy pair isolates the stale-gain queue, whose
-	// rounds screen nothing (identical results on this fixture — its gains
-	// stay diminishing — and far fewer evaluations; see core.lazyQueue for
-	// the exactness contract on instances where they do not).
-	benchScan := func(workers int, lazy bool) func(b *testing.B) {
+	// fan-out).
+	benchScan := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			s := graph.NewDijkstraScratch()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cache := graph.NewSPTCache(sg).WithScratch(s)
-				if _, _, err := core.IKMBStats(cache, snet, core.Options{Workers: workers, Lazy: lazy}); err != nil {
+				if _, _, err := core.IKMBStats(cache, snet, core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 				cache.Release()
@@ -158,15 +152,17 @@ func writeBenchJSON(path string, quick bool) error {
 		}
 	}
 	// scanWork instruments one untimed run of the same workload, giving the
-	// evals_per_op/evals_saved_per_op provenance for the scan entries.
-	scanWork := func(workers int, lazy bool) (evals, saved int64) {
-		cache := graph.NewSPTCache(sg)
-		defer cache.Release()
-		_, st, err := core.IKMBStats(cache, snet, core.Options{Workers: workers, Lazy: lazy})
-		if err != nil {
-			return 0, 0
+	// evals_per_op provenance for the scan entries.
+	scanWork := func(workers int) func() int64 {
+		return func() int64 {
+			cache := graph.NewSPTCache(sg)
+			defer cache.Release()
+			_, st, err := core.IKMBStats(cache, snet, core.Options{Workers: workers})
+			if err != nil {
+				return 0
+			}
+			return st.Evaluations
 		}
-		return st.Evaluations, st.EvaluationsSaved
 	}
 	// benchRoute measures the full router on busc at the paper's width.
 	benchRoute := func(workers int) func(b *testing.B) {
@@ -262,7 +258,7 @@ func writeBenchJSON(path string, quick bool) error {
 	type bench struct {
 		name   string
 		fn     func(b *testing.B)
-		work   func() (evals, saved int64)
+		work   func() int64
 		expand func() int64
 		iters  func() int64
 	}
@@ -286,10 +282,8 @@ func writeBenchJSON(path string, quick bool) error {
 				}
 			}
 		}},
-		{name: "BenchmarkCandidateScanSeq", fn: benchScan(1, false), work: func() (int64, int64) { return scanWork(1, false) }},
-		{name: "BenchmarkCandidateScanPar", fn: benchScan(8, false), work: func() (int64, int64) { return scanWork(8, false) }},
-		{name: "BenchmarkCandidateScanLazySeq", fn: benchScan(1, true), work: func() (int64, int64) { return scanWork(1, true) }},
-		{name: "BenchmarkCandidateScanLazyPar", fn: benchScan(8, true), work: func() (int64, int64) { return scanWork(8, true) }},
+		{name: "BenchmarkCandidateScanSeq", fn: benchScan(1), work: scanWork(1)},
+		{name: "BenchmarkCandidateScanPar", fn: benchScan(8), work: scanWork(8)},
 		{name: "BenchmarkSSSP_Legacy", fn: benchSSSP(ssspLegacy), expand: func() int64 { return ssspExpanded(ssspLegacy) }},
 		{name: "BenchmarkSSSP_CSR", fn: benchSSSP(ssspCSR), expand: func() int64 { return ssspExpanded(ssspCSR) }},
 		{name: "BenchmarkSSSP_AStar", fn: benchSSSP(ssspAStar), expand: func() int64 { return ssspExpanded(ssspAStar) }},
@@ -348,7 +342,7 @@ func writeBenchJSON(path string, quick bool) error {
 			GoMaxProcs:  runtime.GOMAXPROCS(0),
 		}
 		if bench.work != nil {
-			res.EvalsPerOp, res.EvalsSavedPerOp = bench.work()
+			res.EvalsPerOp = bench.work()
 		}
 		if bench.expand != nil {
 			res.ExpandedNodesPerOp = bench.expand()

@@ -49,8 +49,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "abandon the table/figure sweeps after this long (0 = unbounded)")
 		workers    = flag.Int("cand-workers", 0, "candidate-scan worker goroutines per net (0 = GOMAXPROCS capped at 8, 1 = sequential)")
 		singleStep = flag.Bool("single", false, "single-step Steiner-point admission (one candidate per scan round, the paper's Figure 5 template)")
-		lazy       = flag.Bool("lazy", false, "lazy-greedy candidate scans (stale-gain queue with exactness fallback; far fewer evaluations, wirelength may deviate <0.1%; arms under -single)")
-		goal       = flag.Bool("goal", false, "goal-directed search (A* toward each net's pins under the fabric's coordinate bound; exact costs, equal-cost paths may differ; always on under -parallel)")
 		parallel   = flag.Bool("parallel", false, "net-parallel negotiated-congestion routing (internal/pathfinder) for the table sweeps")
 		netWork    = flag.Int("net-workers", 0, "net-routing worker goroutines in -parallel mode (0 = GOMAXPROCS capped at 8; results are identical for any worker count)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -91,7 +89,7 @@ func main() {
 			*passes = 8
 		}
 	}
-	cfg := experiments.RouterConfig{Seed: *seed, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *singleStep, LazyScan: *lazy, GoalDirected: *goal, Parallel: *parallel, NetWorkers: *netWork}
+	cfg := experiments.RouterConfig{Seed: *seed, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *singleStep, Parallel: *parallel, NetWorkers: *netWork}
 	if *timeout > 0 {
 		cc, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()

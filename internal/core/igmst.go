@@ -50,28 +50,6 @@ type Options struct {
 	// the warmed trees are the ones H would compute, and evaluations are
 	// reduced in pool order with the sequential tie-break.
 	Workers int
-	// Lazy enables the lazy-greedy ("CELF"-style) candidate scan: each
-	// candidate's last-known gain is kept as a stale priority, and a round
-	// re-evaluates only the top of that queue — stale gains act as upper
-	// bounds under the usual diminishing-returns behaviour of ΔH, so a
-	// fresh head that still dominates the next stale entry wins the round
-	// without touching the rest of the pool. Because ΔH under an arbitrary
-	// base heuristic is not provably submodular, every fresh evaluation is
-	// checked against its stale bound: a fresh gain that EXCEEDS its stale
-	// value invalidates the queue and the round falls back to a full
-	// rescan. Results are bit-identical to the exhaustive scan whenever
-	// stale gains really are upper bounds (the Lazy parity suites assert
-	// this); on instances where a never-re-evaluated candidate's gain
-	// jumps, the scan may admit different Steiner points — still strictly
-	// improving ones, so the template's cost bound holds — see lazyQueue
-	// for the full exactness contract. Composes with Workers: queue bursts
-	// fan out over the same forks, and the burst size is fixed so the
-	// evaluated set (hence the result and every counter) is identical at
-	// every Workers setting. The queue arms only for single-step
-	// admission; under Batched the scans stay exhaustive (a batched round
-	// consumes the whole improving-candidate ranking, so there is nothing
-	// a stale bound can soundly skip — see lazyQueue).
-	Lazy bool
 }
 
 // Stats reports work performed by an iterated construction, for the
@@ -85,17 +63,6 @@ type Stats struct {
 	// Screened counts the evaluations, among Evaluations, that IKMBStats'
 	// cost screen ruled out without building a tree (steiner.KMBScreened).
 	Screened int64
-	// LazyHits counts scan rounds the stale-gain queue served with a
-	// partial evaluation (at least one candidate skipped); FullRescans
-	// counts rounds that fell back to an exhaustive rescan after a fresh
-	// gain exceeded its stale bound. EvaluationsSaved is the net number of
-	// base-heuristic evaluations the lazy scan avoided versus the
-	// exhaustive scan (negative contributions from fallback rounds, which
-	// pay the burst and the rescan, are included), so for any run
-	// Evaluations + EvaluationsSaved equals the exhaustive Evaluations.
-	LazyHits         int64
-	FullRescans      int64
-	EvaluationsSaved int64
 	// ParallelScans counts scan rounds that actually fanned out over more
 	// than one worker goroutine.
 	ParallelScans int
@@ -144,10 +111,9 @@ func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, 
 // prove that the candidate's tree fails to improve the round's incumbent by
 // more than gainEps, which is what both admission folds require. Screened
 // candidates count in Evaluations and in Screened, and the folds skip them
-// as they skip errors. The first KMB call, batched re-admissions and lazy
-// rounds (whose stale gains are kept as values, not compared against a
-// threshold) run KMB in full. The tree, every other counter and every
-// cache search are those of the oracle, bit for bit (DESIGN.md §5).
+// as they skip errors. The first KMB call and batched re-admissions run KMB
+// in full. The tree, every other counter and every cache search are those
+// of the oracle, bit for bit (DESIGN.md §5).
 func IKMBStats(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, Stats, error) {
 	return iterate(cache, net, steiner.KMB, steiner.KMBScreened, opts, true)
 }
@@ -195,25 +161,10 @@ func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, scr
 	}
 	pool := candidatePool(cache.Graph(), opts.Candidates)
 	spanned := append([]graph.NodeID(nil), net...) // N ∪ S
-	// The lazy queue (nil when off) decides per round which candidates are
-	// worth re-evaluating; exhaustive rounds go through sc.scan unchanged.
-	// Both return evaluations in pool order, so the selection fold below is
-	// shared verbatim. Batched admission never arms the queue: it consumes
-	// the whole improving-candidate ranking, which stale bounds cannot
-	// soundly prune (see lazyQueue's doc comment).
-	var lz *lazyQueue
-	if opts.Lazy && !opts.Batched {
-		lz = newLazyQueue(pool)
-	}
 
 	for {
 		st.Rounds++
-		var evals []scanEval
-		if lz != nil {
-			evals = lz.round(&st, sc, best.Cost, spanned, inNS, pool)
-		} else {
-			evals = sc.scan(&st, spanned, inNS, pool, best.Cost)
-		}
+		evals := sc.scan(&st, spanned, inNS, pool, best.Cost)
 		if opts.Batched {
 			admitted := false
 			// Rank all improving candidates by savings against the round's

@@ -62,8 +62,8 @@ type screenedHeuristic func(cache *graph.SPTCache, net []graph.NodeID, best, eps
 type scanner struct {
 	cache *graph.SPTCache
 	H     steiner.Heuristic
-	// screen, when non-nil, is H with a certified screen, and evaluate
-	// calls it instead of H.
+	// screen, when non-nil, is H with a certified screen, and scan calls
+	// it instead of H.
 	screen  screenedHeuristic
 	workers int
 	forks   []*graph.SPTCache // per-worker cache views (nil when sequential)
@@ -133,9 +133,12 @@ func withTerm(buf *[]graph.NodeID, spanned []graph.NodeID, t graph.NodeID) []gra
 }
 
 // scan evaluates H(G, spanned ∪ {t}) for every pool candidate t not in inNS,
-// returning outcomes in pool order and accounting the work into st. best is
-// the cost of the solution the round's candidates must improve on (see
-// evaluate). The returned slice is reused by the next round.
+// inline on the shared cache or sharded over the worker forks, returning
+// outcomes in pool order and accounting the work into st. With a screen, a
+// candidate whose cost provably cannot beat best — the cost of the
+// solution the round's candidates must improve on — by more than gainEps
+// comes back screened instead of with a tree. The returned slice is reused
+// by the next round.
 func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]bool, pool []graph.NodeID, best float64) []scanEval {
 	s.targets = s.targets[:0]
 	for _, t := range pool {
@@ -143,17 +146,6 @@ func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]
 			s.targets = append(s.targets, t)
 		}
 	}
-	return s.evaluate(st, spanned, best)
-}
-
-// evaluate runs H over s.targets (set by the caller), inline on the shared
-// cache or sharded over the worker forks, returning outcomes in target order.
-// With a screen, a candidate whose cost provably cannot beat best by more
-// than gainEps comes back screened instead of with a tree; best = +Inf
-// screens nothing, which is what the lazy scan passes, since it keeps every
-// fresh gain as a value. The lazy scan calls this directly with queue
-// bursts; the returned slice is reused by the next evaluation.
-func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID, best float64) []scanEval {
 	n := len(s.targets)
 	st.Evaluations += int64(n)
 	if cap(s.evals) < n {

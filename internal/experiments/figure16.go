@@ -31,7 +31,7 @@ func Figure16(cfg RouterConfig) (Figure16Result, error) {
 		return Figure16Result{}, err
 	}
 	for w := spec.PaperIKMB; w <= 4*spec.CGE; w++ {
-		res, fab, err := router.RouteWithFabricContext(cfg.Ctx, nil, ckt, w, router.Options{MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, LazyScan: cfg.LazyScan})
+		res, fab, err := router.RouteWithFabricContext(cfg.Ctx, nil, ckt, w, router.Options{MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep})
 		if err != nil {
 			if errors.Is(err, router.ErrUnroutable) {
 				continue

@@ -40,17 +40,6 @@ type RouterConfig struct {
 	// per-round Steiner admission (the paper's Figure 5 template) instead
 	// of the router's default batched admission.
 	SingleStep bool
-	// LazyScan is forwarded to router.Options.LazyScan for every routing
-	// call of the sweep: the lazy-greedy candidate scan with exactness
-	// fallback (results identical on or off; only evaluation counts
-	// change). Arms under SingleStep; inert for batched admission.
-	LazyScan bool
-	// GoalDirected is forwarded to router.Options.GoalDirected: A* toward
-	// each net's stop set under the fabric's coordinate lower bound, and
-	// bidirectional Dijkstra for 2-pin nets. Costs stay exact; among
-	// equal-cost shortest paths the goal-directed searches may choose
-	// differently, so tables can deviate within ties.
-	GoalDirected bool
 	// Parallel is forwarded to router.Options.Parallel: the net-parallel
 	// negotiated-congestion router (internal/pathfinder) instead of the
 	// sequential rip-up/re-route loop. Only the kmb/ikmb algorithms
@@ -108,8 +97,6 @@ func minWidthFor(spec circuits.Spec, alg string, cfg RouterConfig) (WidthRow, er
 		MaxPasses:        cfg.MaxPasses,
 		CandidateWorkers: cfg.CandidateWorkers,
 		SingleStep:       cfg.SingleStep,
-		LazyScan:         cfg.LazyScan,
-		GoalDirected:     cfg.GoalDirected,
 		Parallel:         cfg.Parallel,
 		NetWorkers:       cfg.NetWorkers,
 	})
@@ -271,7 +258,7 @@ func Table5(cfg RouterConfig) ([]Table5Row, error) {
 			results = map[string]*router.Result{}
 			for _, alg := range algs {
 				progress("table 5: %s at width %d with %s", spec.Name, width, alg)
-				res, err := router.RouteContext(cfg.Ctx, ctx, ckt, width, router.Options{Algorithm: alg, MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, LazyScan: cfg.LazyScan, GoalDirected: cfg.GoalDirected, Parallel: cfg.Parallel, NetWorkers: cfg.NetWorkers})
+				res, err := router.RouteContext(cfg.Ctx, ctx, ckt, width, router.Options{Algorithm: alg, MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, Parallel: cfg.Parallel, NetWorkers: cfg.NetWorkers})
 				if err != nil {
 					if errors.Is(err, router.ErrUnroutable) {
 						break

@@ -98,7 +98,7 @@ func TestBoundsAdmissibleUnderCongestion(t *testing.T) {
 		f.BeginNet([]Pin{pa, pb})
 		src, goal := f.PinNode(pa), f.PinNode(pb)
 		ref := f.Graph().DijkstraWithin(src, []graph.NodeID{goal})
-		ast := f.Graph().AStar(nil, src, goal, f.Bounds())
+		ast := f.Graph().DijkstraWithinBounded(nil, src, []graph.NodeID{goal}, f.Bounds())
 		if ref.Dist[goal] != ast.Dist[goal] {
 			t.Fatalf("congested A* dist %v vs dijkstra %v", ast.Dist[goal], ref.Dist[goal])
 		}

@@ -69,7 +69,7 @@ func TestBounds3DAdmissible(t *testing.T) {
 	f.BeginNet([]Pin3D{src, dst})
 	s, d := f.PinNode(src), f.PinNode(dst)
 	ref := g.DijkstraWithin(s, []graph.NodeID{d})
-	ast := g.AStar(nil, s, d, b)
+	ast := g.DijkstraWithinBounded(nil, s, []graph.NodeID{d}, b)
 	if ref.Dist[d] != ast.Dist[d] {
 		t.Fatalf("3D A* dist %v vs dijkstra %v", ast.Dist[d], ref.Dist[d])
 	}

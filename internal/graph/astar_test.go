@@ -20,8 +20,9 @@ func gridBounds(g *GridGraph) *CoordBounds {
 }
 
 // Property: on grids with random weights ≥ 1, random disables and random
-// endpoints, AStar's goal distance is bit-identical to Dijkstra's, its
-// path cost equals that distance, and it settles no more nodes.
+// endpoints, point-to-point A* (DijkstraWithinBounded with a one-node stop
+// set) finds the goal at exactly Dijkstra's distance, its path costs that
+// distance, and it settles no more nodes.
 func TestQuickAStarExactOnGrids(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -40,7 +41,7 @@ func TestQuickAStarExactOnGrids(t *testing.T) {
 		goal := NodeID(rng.Intn(g.NumNodes()))
 		s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
 		ref := g.Graph.dijkstraWith(s1, src, []NodeID{goal})
-		ast := g.Graph.AStar(s2, src, goal, b)
+		ast := g.Graph.DijkstraWithinBounded(s2, src, []NodeID{goal}, b)
 		if ast.Dist[goal] != ref.Dist[goal] {
 			t.Logf("seed %d: A* dist %v, dijkstra %v", seed, ast.Dist[goal], ref.Dist[goal])
 			return false
@@ -112,71 +113,85 @@ func TestQuickDijkstraWithinBoundedExact(t *testing.T) {
 	}
 }
 
-// Property: BiDijkstra's cost matches Dijkstra's within floating-point
-// tolerance (the two half-sums fold in a different order), its edge path
-// is a real src→goal path of that cost, and disconnection is reported
-// exactly when Dijkstra reports it.
+// Property: BiDijkstraOverlay's cost is within 1e-9 of the forward overlay
+// search's (DijkstraFromOverlay; the two half-sums fold in a different
+// order), reachability agrees, and the returned path is a src→goal walk of
+// that effective cost that never enters a blocked node. Both under a zero
+// overlay and under random prices and blocked nodes, the pathfinder's
+// routing state, on graphs with disabled edges.
 func TestQuickBiDijkstraExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(50)
-		g := RandomConnected(rng, n, n*3, 8)
-		for i := 0; i < g.NumEdges()/3; i++ {
-			g.SetEnabled(EdgeID(rng.Intn(g.NumEdges())), false)
-		}
-		src := NodeID(rng.Intn(n))
-		goal := NodeID(rng.Intn(n))
-		ref := g.DijkstraWithin(src, []NodeID{goal})
-		cost, path, ok := g.BiDijkstra(nil, src, goal)
-		if ok != ref.Reachable(goal) {
-			t.Logf("seed %d: ok=%v but reachable=%v", seed, ok, ref.Reachable(goal))
-			return false
-		}
-		if !ok {
-			return true
-		}
-		if math.Abs(cost-ref.Dist[goal]) > 1e-9 {
-			t.Logf("seed %d: cost %v vs %v", seed, cost, ref.Dist[goal])
-			return false
-		}
-		if math.Abs(g.TotalWeight(path)-cost) > 1e-9 {
-			t.Logf("seed %d: path cost %v vs %v", seed, g.TotalWeight(path), cost)
-			return false
-		}
-		// The edge sequence must be walkable src→goal.
-		at := src
-		for _, id := range path {
-			e := g.Edge(id)
-			switch at {
-			case e.U:
-				at = e.V
-			case e.V:
-				at = e.U
-			default:
-				t.Logf("seed %d: path breaks at node %d edge %d", seed, at, id)
+	for _, priced := range []bool{false, true} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := 5 + rng.Intn(50)
+			g := RandomConnected(rng, n, n*3, 8)
+			for i := 0; i < g.NumEdges()/3; i++ {
+				g.SetEnabled(EdgeID(rng.Intn(g.NumEdges())), false)
+			}
+			ov := NewOverlay(g)
+			perm := rng.Perm(n)
+			src, goal := NodeID(perm[0]), NodeID(perm[1])
+			if priced {
+				for id := 0; id < g.NumEdges(); id++ {
+					ov.AddPrice(EdgeID(id), rng.Float64()*3)
+				}
+				for _, v := range perm[2 : 2+rng.Intn(n/3+1)] {
+					ov.Block(NodeID(v))
+				}
+			}
+			ref := g.DijkstraFromOverlay(nil, []Seed{{Node: src}}, []NodeID{goal}, ov)
+			cost, path, ok := g.BiDijkstraOverlay(nil, src, goal, ov)
+			if ok != ref.Reachable(goal) {
+				t.Logf("priced=%v seed %d: ok=%v but reachable=%v", priced, seed, ok, ref.Reachable(goal))
 				return false
 			}
+			if !ok {
+				return true
+			}
+			if math.Abs(cost-ref.Dist[goal]) > 1e-9 {
+				t.Logf("priced=%v seed %d: cost %v vs %v", priced, seed, cost, ref.Dist[goal])
+				return false
+			}
+			at, sum := src, 0.0
+			for _, id := range path {
+				e := g.Edge(id)
+				switch at {
+				case e.U:
+					at = e.V
+				case e.V:
+					at = e.U
+				default:
+					t.Logf("priced=%v seed %d: path breaks at node %d edge %d", priced, seed, at, id)
+					return false
+				}
+				if ov.Blocked(at) {
+					t.Logf("priced=%v seed %d: path enters blocked node %d", priced, seed, at)
+					return false
+				}
+				sum += g.Weight(id) + ov.Price(id)
+			}
+			if at != goal || math.Abs(sum-cost) > 1e-9 {
+				t.Logf("priced=%v seed %d: path ends at %d (want %d), costs %v (want %v)", priced, seed, at, goal, sum, cost)
+				return false
+			}
+			return true
 		}
-		if at != goal {
-			t.Logf("seed %d: path ends at %d, want %d", seed, at, goal)
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("priced=%v: %v", priced, err)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestBiDijkstraTrivialAndDisconnected(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
+	ov := NewOverlay(g)
 	// src == goal: empty path, zero cost.
-	if c, p, ok := g.BiDijkstra(nil, 2, 2); !ok || c != 0 || len(p) != 0 {
+	if c, p, ok := g.BiDijkstraOverlay(nil, 2, 2, ov); !ok || c != 0 || len(p) != 0 {
 		t.Fatalf("self route: %v %v %v", c, p, ok)
 	}
 	// 0 and 3 are disconnected.
-	if _, _, ok := g.BiDijkstra(nil, 0, 3); ok {
+	if _, _, ok := g.BiDijkstraOverlay(nil, 0, 3, ov); ok {
 		t.Fatal("disconnected pair reported routable")
 	}
 }
@@ -191,7 +206,7 @@ func TestAStarExpandsFewerOnOpenGrid(t *testing.T) {
 	src, goal := g.Node(0, 0), g.Node(19, 19)
 	s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
 	ref := g.Graph.dijkstraWith(s1, src, []NodeID{goal})
-	ast := g.Graph.AStar(s2, src, goal, b)
+	ast := g.Graph.DijkstraWithinBounded(s2, src, []NodeID{goal}, b)
 	if ast.Dist[goal] != ref.Dist[goal] {
 		t.Fatalf("dist %v vs %v", ast.Dist[goal], ref.Dist[goal])
 	}
@@ -200,74 +215,26 @@ func TestAStarExpandsFewerOnOpenGrid(t *testing.T) {
 	}
 }
 
-// Property: LandmarkBounds lower bounds are admissible (≤ true distance)
-// and AStar under them returns exact distances, on random graphs both
-// as built and after monotone weight increases and disables — the only
-// mutations the landmark bound survives.
-func TestQuickLandmarkBoundsAdmissibleAndExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(40)
-		g := RandomConnected(rng, n, n*2, 8)
-		lm := RandomNet(rng, g, 1+rng.Intn(3))
-		b := NewLandmarkBounds(g, lm)
-		// Monotone perturbations only: weights may grow, edges may disable.
-		for i := 0; i < g.NumEdges()/6; i++ {
-			id := EdgeID(rng.Intn(g.NumEdges()))
-			g.SetWeight(id, g.Weight(id)*(1+rng.Float64()))
-		}
-		for i := 0; i < g.NumEdges()/8; i++ {
-			g.SetEnabled(EdgeID(rng.Intn(g.NumEdges())), false)
-		}
-		src := NodeID(rng.Intn(n))
-		full := g.Dijkstra(src)
-		for v := 0; v < n; v++ {
-			lb := b.LowerBound(src, NodeID(v))
-			if !math.IsInf(full.Dist[v], 1) && lb > full.Dist[v]+1e-9 {
-				t.Logf("seed %d: bound %v > dist %v for %d→%d", seed, lb, full.Dist[v], src, v)
-				return false
-			}
-		}
-		goal := NodeID(rng.Intn(n))
-		ast := g.AStar(nil, src, goal, b)
-		if math.IsInf(full.Dist[goal], 1) != math.IsInf(ast.Dist[goal], 1) {
-			return false
-		}
-		if !math.IsInf(full.Dist[goal], 1) && math.Abs(ast.Dist[goal]-full.Dist[goal]) > 1e-9 {
-			t.Logf("seed %d: A*+landmarks %v vs dijkstra %v", seed, ast.Dist[goal], full.Dist[goal])
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ToSet on a multi-goal set must lower-bound the distance to the nearest
-// goal, for both bound implementations.
+// goal.
 func TestQuickToSetAdmissible(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w, h := 3+rng.Intn(8), 3+rng.Intn(8)
 		g := NewGrid(w, h, 1)
-		cb := gridBounds(g)
-		lmb := NewLandmarkBounds(g.Graph, RandomNet(rng, g.Graph, 2))
 		goals := RandomNet(rng, g.Graph, 1+rng.Intn(5))
-		for _, b := range []Bounds{cb, lmb} {
-			h := b.ToSet(goals)
-			for v := 0; v < g.NumNodes(); v++ {
-				best := math.Inf(1)
-				spt := g.Dijkstra(NodeID(v))
-				for _, gl := range goals {
-					if spt.Dist[gl] < best {
-						best = spt.Dist[gl]
-					}
+		lb := gridBounds(g).ToSet(goals)
+		for v := 0; v < g.NumNodes(); v++ {
+			best := math.Inf(1)
+			spt := g.Dijkstra(NodeID(v))
+			for _, gl := range goals {
+				if spt.Dist[gl] < best {
+					best = spt.Dist[gl]
 				}
-				if hv := h(NodeID(v)); hv > best+1e-9 {
-					t.Logf("seed %d: ToSet %v > nearest-goal dist %v at node %d", seed, hv, best, v)
-					return false
-				}
+			}
+			if hv := lb(NodeID(v)); hv > best+1e-9 {
+				t.Logf("seed %d: ToSet %v > nearest-goal dist %v at node %d", seed, hv, best, v)
+				return false
 			}
 		}
 		return true

@@ -1,44 +1,28 @@
 package graph
 
-// Bounds supplies admissible lower bounds on shortest-path distances for
-// goal-directed search (AStar, DijkstraWithinBounded, SPTCache.WithBounds).
+// CoordBounds supplies admissible lower bounds on shortest-path distances
+// for goal-directed search (DijkstraWithinBounded, SPTCache.WithBounds,
+// and the heuristics the pathfinder passes to AStarFromAnyOverlay). It
+// bounds distances by geometry: each node carries coordinates and every
+// edge's weight is promised to be at least the Manhattan (L1)
+// displacement between its endpoints, so the L1 distance between two
+// nodes lower-bounds every path length between them.
 //
-// Admissibility — LowerBound(u, v) ≤ the true shortest-path distance over
-// enabled edges — is the correctness requirement; a bound that can
+// Admissibility — the bound never exceeds the true shortest-path distance
+// over enabled edges — is the correctness requirement; a bound that can
 // overestimate makes goal-directed distances wrong. Consistency
 // (|h(u) − h(v)| ≤ w for every enabled edge {u, v, w}) is additionally
-// required for the searches here, which settle each node once.
-//
-// Implementations must be immutable after construction: the router's
-// parallel candidate scans share one Bounds across worker forks with no
-// synchronization. They must also remain valid across the graph mutations
-// the owner performs — the fabric's coordinate bounds survive arbitrary
-// weight/enable churn because congestion only ever scales weights up from
-// geometric length (see CoordBounds); landmark bounds survive only monotone
-// weight increases and edge disabling (see LandmarkBounds).
-type Bounds interface {
-	// LowerBound returns an admissible lower bound on the distance between
-	// u and v. It must be symmetric on undirected graphs.
-	LowerBound(u, v NodeID) float64
-	// ToSet returns h with h(v) an admissible lower bound on the minimum
-	// distance from v to any node of goals — the heuristic for searches
-	// that terminate on a goal set. The returned closure may retain goals;
-	// callers must not mutate the slice while h is in use.
-	ToSet(goals []NodeID) func(v NodeID) float64
-}
-
-// CoordBounds bounds distances by geometry: each node carries coordinates
-// and every edge's weight is promised to be at least the Manhattan
-// (L1) displacement between its endpoints, so the L1 distance between two
-// nodes lower-bounds every path length between them.
+// required by the searches, which settle each node once. The L1 promise
+// gives both.
 //
 // The FPGA fabrics satisfy the promise by construction (see
 // fpga.Fabric.Bounds and fpga3d.Fabric3D.Bounds): wire segments cost their
 // span count, connection-block taps cost exactly the pin-midpoint-to-
 // switch-block distance, jogs join co-located nodes, and congestion
 // multiplies base weights by factors ≥ 1 — so the bound stays admissible
-// and consistent across every mutation the router performs, including
-// Reset.
+// and consistent across every mutation the routers perform, including
+// Reset and non-negative overlay prices. A CoordBounds is immutable after
+// construction, so concurrent searches share one without synchronization.
 type CoordBounds struct {
 	// X, Y are per-node coordinates. Z may be nil for planar graphs.
 	X, Y, Z []float64
@@ -110,96 +94,4 @@ func gap(x, lo, hi float64) float64 {
 		return x - hi
 	}
 	return 0
-}
-
-// LandmarkBounds is the ALT lower bound for graphs without usable geometry:
-// exact distances from a few landmark nodes are precomputed, and the
-// triangle inequality |d(L,u) − d(L,v)| ≤ d(u,v) bounds any pair. The
-// bounds are computed against the graph state at construction time; they
-// remain admissible as long as subsequent mutations only increase weights
-// or disable edges (both only lengthen shortest paths). Re-enable an edge
-// or cut a weight and the bounds must be rebuilt.
-type LandmarkBounds struct {
-	dist [][]float64 // per landmark: distance to every node
-}
-
-// NewLandmarkBounds precomputes distances from each landmark over the
-// current enabled edges. Good landmarks sit on the graph's periphery;
-// callers choose them (a poor choice costs tightness, never correctness).
-func NewLandmarkBounds(g *Graph, landmarks []NodeID) *LandmarkBounds {
-	b := &LandmarkBounds{dist: make([][]float64, len(landmarks))}
-	s := AcquireScratch()
-	defer ReleaseScratch(s)
-	for i, l := range landmarks {
-		t := g.dijkstraWith(s, l, nil)
-		b.dist[i] = append([]float64(nil), t.Dist...)
-		s.RecycleSPT(t)
-	}
-	return b
-}
-
-// LowerBound returns the best (largest) landmark bound for the pair.
-func (b *LandmarkBounds) LowerBound(u, v NodeID) float64 {
-	best := 0.0
-	for _, d := range b.dist {
-		du, dv := d[u], d[v]
-		switch {
-		case du == inf && dv == inf:
-			// Both unreachable from this landmark: no information.
-		case du == inf || dv == inf:
-			// One side shares the landmark's component, the other does not,
-			// so u and v are disconnected.
-			return inf
-		default:
-			if lb := abs(du - dv); lb > best {
-				best = lb
-			}
-		}
-	}
-	return best
-}
-
-// ToSet returns h(v) = max over landmarks of the distance from d(L,v) to
-// the interval [min, max] of the goals' landmark distances — an admissible
-// lower bound on the minimum distance from v to any goal, O(landmarks) per
-// node regardless of the goal count.
-func (b *LandmarkBounds) ToSet(goals []NodeID) func(v NodeID) float64 {
-	if len(goals) == 0 {
-		return func(NodeID) float64 { return 0 }
-	}
-	type interval struct{ lo, hi float64 }
-	ivs := make([]interval, len(b.dist))
-	for i, d := range b.dist {
-		lo, hi := d[goals[0]], d[goals[0]]
-		for _, g := range goals[1:] {
-			lo, hi = minmax(lo, hi, d[g])
-		}
-		ivs[i] = interval{lo, hi}
-	}
-	return func(v NodeID) float64 {
-		best := 0.0
-		for i, d := range b.dist {
-			dv := d[v]
-			iv := ivs[i]
-			switch {
-			case dv == inf:
-				// v is outside this landmark's component. If every goal is
-				// inside it (hi finite), no goal is reachable from v;
-				// otherwise the landmark says nothing about the goals that
-				// share v's fate.
-				if iv.hi != inf {
-					return inf
-				}
-			case dv < iv.lo:
-				if lb := iv.lo - dv; lb > best {
-					best = lb
-				}
-			case iv.hi != inf && dv > iv.hi:
-				if lb := dv - iv.hi; lb > best {
-					best = lb
-				}
-			}
-		}
-		return best
-	}
 }

@@ -245,7 +245,7 @@ type SPTCache struct {
 	// goal-directed searches (DijkstraWithinBounded): expansion is biased
 	// toward the stop set by an admissible lower bound. Distances to stop
 	// nodes stay exact; see WithBounds for the tie-break caveat.
-	bounds Bounds
+	bounds *CoordBounds
 	// overlay, when non-nil, prices and blocks the cache's searches without
 	// mutating g (see Overlay); EdgeWeight reads through it so that tree
 	// constructions sorting by weight see the same effective costs the
@@ -276,18 +276,19 @@ func (c *SPTCache) WithScratch(s *DijkstraScratch) *SPTCache {
 }
 
 // WithBounds guides the cache's searches with an admissible lower bound
-// (see Bounds): each miss runs DijkstraWithinBounded toward the stop set
-// instead of plain DijkstraWithin, settling fewer nodes. Requires a stop
-// set (caches without one settle the whole graph, where goal direction
-// cannot help); b must be admissible and consistent for the current graph
-// state or distances would come out wrong.
+// (see CoordBounds): each miss runs DijkstraWithinBounded toward the stop
+// set instead of plain DijkstraWithin, settling fewer nodes. Requires a
+// stop set (caches without one settle the whole graph, where goal
+// direction cannot help); b must be admissible and consistent for the
+// current graph state or distances would come out wrong.
 //
 // Exactness contract: distances to stop nodes are exact and, with a
 // consistent bound, bit-identical to the unbounded cache's; parents (and
 // therefore Path results) may differ on exact floating-point ties because
-// the bound reorders settlement among equal-cost nodes. The router keeps
-// this behind Options.GoalDirected for that reason. Returns c.
-func (c *SPTCache) WithBounds(b Bounds) *SPTCache {
+// the bound reorders settlement among equal-cost nodes. The pathfinder
+// bounds every cache; the sequential router bounds none, because its
+// routes must keep plain Dijkstra's tie-breaks. Returns c.
+func (c *SPTCache) WithBounds(b *CoordBounds) *SPTCache {
 	c.bounds = b
 	return c
 }

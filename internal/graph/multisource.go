@@ -31,19 +31,6 @@ func (g *Graph) DijkstraFrom(s *DijkstraScratch, seeds []Seed, stop []NodeID) *S
 	return t
 }
 
-// AStarFrom is DijkstraFrom guided by an admissible, consistent bound
-// toward the stop set (see Bounds.ToSet): distances to stop nodes are
-// exact and identical to DijkstraFrom's, with fewer settled nodes. A stop
-// set is required — goal direction has nothing to aim at without one.
-func (g *Graph) AStarFrom(s *DijkstraScratch, seeds []Seed, stop []NodeID, b Bounds) *SPT {
-	if s == nil {
-		s = AcquireScratch()
-		defer ReleaseScratch(s)
-	}
-	_, t := g.multiSource(s, seeds, stop, nil, b.ToSet(stop), false)
-	return t
-}
-
 // DijkstraFromOverlay is DijkstraFrom under an overlay: every arc costs
 // base + price and relaxations never enter blocked nodes. Seed nodes must
 // not be blocked.
@@ -53,18 +40,6 @@ func (g *Graph) DijkstraFromOverlay(s *DijkstraScratch, seeds []Seed, stop []Nod
 		defer ReleaseScratch(s)
 	}
 	_, t := g.multiSource(s, seeds, stop, ov, nil, false)
-	return t
-}
-
-// AStarFromOverlay is the goal-directed overlay variant of DijkstraFrom.
-// h must be admissible and consistent for the overlaid effective weights;
-// non-negative prices preserve any base-admissible bound.
-func (g *Graph) AStarFromOverlay(s *DijkstraScratch, seeds []Seed, stop []NodeID, ov *Overlay, h func(NodeID) float64) *SPT {
-	if s == nil {
-		s = AcquireScratch()
-		defer ReleaseScratch(s)
-	}
-	_, t := g.multiSource(s, seeds, stop, ov, h, false)
 	return t
 }
 
@@ -84,14 +59,15 @@ func (g *Graph) AStarFromAnyOverlay(s *DijkstraScratch, seeds []Seed, goals []No
 	return g.multiSource(s, seeds, goals, ov, h, true)
 }
 
-// multiSource is the one seeded-search implementation behind the
-// DijkstraFrom/AStarFrom family: Dijkstra from a seeded frontier, with an
-// optional overlay (priced arcs, blocked nodes), an optional heuristic
-// (keys become Dist + h), and two stop disciplines — settle every stop
-// node (any=false, the DijkstraWithin contract) or settle the first and
-// report it (any=true). Control flow mirrors dijkstraWith so determinism
-// carries over: ties break by arc order, and unsettled nodes are
-// invalidated before returning so callers never read half-relaxed labels.
+// multiSource is the one seeded-search implementation behind DijkstraFrom,
+// DijkstraFromOverlay and AStarFromAnyOverlay: Dijkstra from a seeded
+// frontier, with an optional overlay (priced arcs, blocked nodes), an
+// optional heuristic (keys become Dist + h), and two stop disciplines —
+// settle every stop node (any=false, the DijkstraWithin contract) or
+// settle the first and report it (any=true). Control flow mirrors
+// dijkstraWith so determinism carries over: ties break by arc order, and
+// unsettled nodes are invalidated before returning so callers never read
+// half-relaxed labels.
 func (g *Graph) multiSource(s *DijkstraScratch, seeds []Seed, stop []NodeID, ov *Overlay, h func(NodeID) float64, any bool) (NodeID, *SPT) {
 	faultpoint.Check(faultpoint.SSSPExpand)
 	g.ensureCSR()

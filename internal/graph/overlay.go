@@ -16,9 +16,9 @@ import "fpgarouter/internal/faultpoint"
 // (disabled edges already carry +Inf in the base weights, which any finite
 // price preserves), and an overlay must be quiescent while a search or an
 // SPTCache using it is live. Non-negative prices also preserve the
-// admissibility of coordinate lower bounds (see Bounds): effective weights
-// only grow from the geometric base lengths, so goal-directed searches stay
-// exact under every pricing state.
+// admissibility of coordinate lower bounds (see CoordBounds): effective
+// weights only grow from the geometric base lengths, so goal-directed
+// searches stay exact under every pricing state.
 type Overlay struct {
 	price   []float64
 	blocked []uint64
@@ -207,11 +207,19 @@ func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, t *SPT, src NodeID, stop
 	return t
 }
 
-// BiDijkstraOverlay is BiDijkstra under an overlay: a bidirectional
-// point-to-point search over priced effective weights that never enters
-// blocked nodes. Same exactness contract as BiDijkstra (the cost is exact,
-// its rounding and the chosen path may differ from a forward search on
-// floating-point ties). Neither endpoint may be blocked.
+// BiDijkstraOverlay computes one shortest path between src and goal under
+// an overlay — priced effective weights, never entering blocked nodes — by
+// growing Dijkstra balls from both ends simultaneously, settling roughly
+// half the nodes a one-sided search would. It returns the path's cost and
+// edge IDs (src→goal order), or ok = false if the endpoints are
+// disconnected. For src == goal it returns an empty path. Neither endpoint
+// may be blocked. A nil scratch uses the pool.
+//
+// The distance is exact but its floating-point rounding can differ in the
+// last bits from a forward-only sum (the two half-path sums are folded in
+// a different order), and the returned path can differ from Dijkstra's
+// among equal-cost alternatives; callers needing bit-reproducibility
+// against forward search must use Dijkstra.
 func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Overlay) (float64, []EdgeID, bool) {
 	if s == nil {
 		s = AcquireScratch()

@@ -30,8 +30,9 @@ type DijkstraScratch struct {
 	ep   uint32   // current Dijkstra epoch (done/stop marks)
 	free []*SPT   // recycled shortest-path trees
 
-	// Second frontier for bidirectional search (BiDijkstra): its own heap
-	// and settled marks, sharing the epoch counter with the forward side.
+	// Second frontier for bidirectional search (BiDijkstraOverlay): its
+	// own heap and settled marks, sharing the epoch counter with the
+	// forward side.
 	heapB pq
 	doneB []uint32
 

@@ -132,8 +132,6 @@ type Config struct {
 	MaxPool int
 	// SingleStep forces one-candidate-per-round admission in IKMB.
 	SingleStep bool
-	// Lazy enables the lazy-greedy candidate scan inside IKMB.
-	Lazy bool
 	// Incremental has no effect: partial rip-up is the engine's only mode.
 	// The field remains so existing callers keep compiling.
 	//
@@ -804,10 +802,8 @@ func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin, wo
 		Candidates: pool,
 		Batched:    !e.cfg.SingleStep,
 		Workers:    workers,
-		Lazy:       e.cfg.Lazy,
 	})
 	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.Screened, st.PointsChosen)
-	e.cfg.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 	e.cfg.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
 	// Forks search on their own scratches, which the run-end accounting of
 	// the workers' scratches (releaseWorkers) never sees.

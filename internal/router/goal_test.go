@@ -1,9 +1,7 @@
 package router
 
 import (
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"fpgarouter/internal/circuits"
@@ -17,12 +15,14 @@ func paperSpecs() []circuits.Spec {
 }
 
 // TestGoalDirectedDistanceParityPaperCircuits is the cross-circuit exactness
-// suite for the goal-directed searches: on every paper circuit's fabric,
-// for a sample of real nets, the A*-guided stop-set search and bidirectional
-// Dijkstra must agree with the pre-refactor reference loop (LegacyDijkstra)
-// on every terminal distance. This pins the admissibility of the fabric
-// bound on real geometry — congestion-free here; the congested case is
-// covered by the fpga bounds tests and TestGoalDirectedRouteBusc.
+// suite for the goal-directed searches the pathfinder routes with: on every
+// paper circuit's fabric, for a sample of real nets, the A*-guided stop-set
+// search (to all terminals, and point to point) and bidirectional Dijkstra
+// under a zero overlay must agree with the pre-refactor reference loop
+// (LegacyDijkstra) on every terminal distance. This pins the admissibility
+// of the fabric bound on real geometry — congestion-free here; the
+// congested case is covered by the fpga bounds tests, and priced overlays
+// by the graph tests and the parallel golden routes.
 func TestGoalDirectedDistanceParityPaperCircuits(t *testing.T) {
 	for _, spec := range paperSpecs() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -33,6 +33,7 @@ func TestGoalDirectedDistanceParityPaperCircuits(t *testing.T) {
 			}
 			b := fab.Bounds()
 			g := fab.Graph()
+			ov := graph.NewOverlay(g)
 			nets := ckt.Nets
 			if len(nets) > 12 {
 				nets = nets[:12]
@@ -52,12 +53,12 @@ func TestGoalDirectedDistanceParityPaperCircuits(t *testing.T) {
 					}
 				}
 				goal := terms[len(terms)-1]
-				ast := g.AStar(nil, src, goal, b)
+				ast := g.DijkstraWithinBounded(nil, src, []graph.NodeID{goal}, b)
 				if ast.Dist[goal] != ref.Dist[goal] {
 					t.Fatalf("net %d: A* %v vs legacy %v", i, ast.Dist[goal], ref.Dist[goal])
 				}
 				if src != goal {
-					cost, _, ok := g.BiDijkstra(nil, src, goal)
+					cost, _, ok := g.BiDijkstraOverlay(nil, src, goal, ov)
 					if !ok || math.Abs(cost-ref.Dist[goal]) > 1e-9 {
 						t.Fatalf("net %d: bidijkstra (%v,%v) vs legacy %v", i, cost, ok, ref.Dist[goal])
 					}
@@ -103,82 +104,4 @@ func TestGoalDirectedExpandsFewerBusc(t *testing.T) {
 	}
 	t.Logf("busc: dijkstra settled %d, goal-directed %d (%.1f%%)",
 		sp.Settled, sb.Settled, 100*float64(sb.Settled)/float64(sp.Settled))
-}
-
-// TestGoalDirectedRouteBusc routes a real paper circuit end to end with
-// GoalDirected on: the route must succeed at the same width, stay within
-// capacity, produce valid trees, and its wirelength must stay within 1% of
-// the default route's — equal-cost path choices can differ, total cost
-// essentially cannot.
-func TestGoalDirectedRouteBusc(t *testing.T) {
-	spec, ok := circuits.SpecByName("busc")
-	if !ok {
-		t.Fatal("busc spec missing")
-	}
-	ckt := synth(t, spec, 1)
-	ref, err := Route(ckt, 10, Options{MaxPasses: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Route(ckt, 10, Options{MaxPasses: 4, GoalDirected: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Routed {
-		t.Fatalf("goal-directed busc failed to route: %+v", res)
-	}
-	if res.MaxUtil > 10 {
-		t.Fatalf("span utilization %d exceeds width", res.MaxUtil)
-	}
-	fab, err := fpga.NewFabric(ckt.ArchAt(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nr := range res.Nets {
-		terms := make([]graph.NodeID, len(ckt.Nets[i].Pins))
-		for j, p := range ckt.Nets[i].Pins {
-			terms[j] = fab.PinNode(p)
-		}
-		if err := graph.ValidateTree(fab.Graph(), nr.Tree, terms); err != nil {
-			t.Fatalf("net %d: %v", i, err)
-		}
-	}
-	if dev := math.Abs(res.Wirelength-ref.Wirelength) / ref.Wirelength; dev > 0.01 {
-		t.Fatalf("goal-directed wirelength %v deviates %.2f%% from default %v",
-			res.Wirelength, 100*dev, ref.Wirelength)
-	}
-}
-
-// TestRouteParityGoalDirectedAcrossWorkers asserts that the goal-directed
-// route is itself deterministic across candidate-scan fan-out: forks carry
-// the bound along, the guided searches are sequential within each fork,
-// and the scan merge is order-fixed, so the Result must be byte-identical
-// at every CandidateWorkers setting. Run under -race this also proves the
-// shared Bounds value is safe to read concurrently.
-func TestRouteParityGoalDirectedAcrossWorkers(t *testing.T) {
-	ckt := synth(t, tinySpec(circuits.Series4000), 3)
-	for _, alg := range []string{AlgIKMB, AlgIDOM} {
-		for _, w := range []int{4, 8} {
-			t.Run(fmt.Sprintf("%s/w=%d", alg, w), func(t *testing.T) {
-				run := func(workers int) (*Result, error) {
-					return Route(ckt, w, Options{
-						Algorithm:        alg,
-						MaxPasses:        4,
-						CandidateWorkers: workers,
-						GoalDirected:     true,
-					})
-				}
-				ref, refErr := run(1)
-				for _, cw := range []int{4, 0} {
-					res, err := run(cw)
-					if (err == nil) != (refErr == nil) {
-						t.Fatalf("workers=%d err %v, sequential err %v", cw, err, refErr)
-					}
-					if !reflect.DeepEqual(res, ref) {
-						t.Fatalf("workers=%d goal-directed Result diverges from sequential", cw)
-					}
-				}
-			})
-		}
-	}
 }

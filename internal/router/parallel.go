@@ -39,7 +39,6 @@ func routeParallel(ctx *Context, fab *fpga.Fabric, ckt *circuits.Circuit, opts O
 		BBoxMargin: opts.BBoxMargin,
 		MaxPool:    maxPool,
 		SingleStep: opts.SingleStep,
-		Lazy:       opts.LazyScan,
 		Stats:      ctx.Stats,
 		Cancel:     ctx.checkCanceled,
 	}

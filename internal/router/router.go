@@ -83,40 +83,6 @@ type Options struct {
 	// tests). Combined with WidthProbes the total goroutine fan-out is the
 	// product of the two; GOMAXPROCS bounds actual parallelism.
 	CandidateWorkers int `json:"candidate_workers,omitempty"`
-	// LazyScan enables the lazy-greedy candidate scan inside the iterated
-	// constructions (core.Options.Lazy): per-candidate gains from earlier
-	// rounds are kept as a stale-priority queue and a round re-evaluates
-	// only the entries whose stale gain could still win, falling back to a
-	// full exhaustive rescan whenever a fresh gain exceeds its stale bound.
-	// Routing results are bit-identical at every CandidateWorkers setting,
-	// and identical to the exhaustive scan whenever per-candidate gains
-	// only shrink as Steiner points are admitted (asserted by the parity
-	// tests); on congestion-weighted fabrics an occasional gain jump in a
-	// skipped candidate can make the lazy route admit different — still
-	// strictly improving — Steiner points, so minimum widths and the
-	// paper's bounds hold but wirelengths can deviate by a fraction of a
-	// percent (see EXPERIMENTS.md for measurements and DESIGN.md §5 for
-	// why the fallback cannot close this gap). The evaluation saving is
-	// reported by the stats layer as lazy hits / full rescans /
-	// evaluations saved. The queue arms only
-	// under SingleStep admission — batched rounds consume the whole
-	// improving-candidate ranking, which stale bounds cannot soundly
-	// prune, so there the flag is inert.
-	LazyScan bool `json:"lazy_scan,omitempty"`
-	// GoalDirected turns on goal-directed shortest-path search inside the
-	// per-net caches: every cache carries the fabric's coordinate lower
-	// bound (fpga.Fabric.Bounds), so the DijkstraWithin runs behind the
-	// Steiner constructions become A* toward the net's terminal-and-pool
-	// stop set, settling strictly fewer nodes on the way; 2-pin nets
-	// short-circuit to bidirectional Dijkstra. Distances and tree costs are
-	// exact — the bound is admissible and consistent on the fabric under
-	// every congestion state — but among equal-cost shortest paths the
-	// goal-directed searches may pick a different one than plain Dijkstra
-	// (and bidirectional sums fold in a different order), so routes are not
-	// guaranteed bit-identical to the default. Off by default for exact
-	// reproducibility of the paper tables; the parity suites assert the
-	// equal-cost contract on every paper circuit.
-	GoalDirected bool `json:"goal_directed,omitempty"`
 	// Parallel selects the net-parallel negotiated-congestion router
 	// (internal/pathfinder) instead of the paper's sequential rip-up/
 	// re-route loop: every net routes concurrently against frozen
@@ -140,12 +106,27 @@ type Options struct {
 	//
 	// Deprecated: leave unset.
 	IncrementalReroute bool `json:"incremental_reroute,omitempty"`
+	// LazyScan has no effect: the lazy-greedy candidate scan it selected
+	// was removed, and every construction scans its whole candidate pool.
+	// The field remains so journaled requests and clients that send
+	// lazy_scan still decode under strict parsing.
+	//
+	// Deprecated: leave unset.
+	LazyScan bool `json:"lazy_scan,omitempty"`
+	// GoalDirected has no effect: the sequential router always searches
+	// with plain Dijkstra, whose equal-cost tie-breaks the paper tables
+	// and the golden routes pin. (The parallel router's searches are
+	// always goal-directed.) The field remains so journaled requests and
+	// clients that send goal_directed still decode under strict parsing.
+	//
+	// Deprecated: leave unset.
+	GoalDirected bool `json:"goal_directed,omitempty"`
 	// NoMoveToFront disables the move-to-front reordering of failed nets
 	// (for the ordering ablation benchmark).
 	NoMoveToFront bool `json:"no_move_to_front,omitempty"`
-	// Batched selects batched Steiner-point admission inside the iterated
-	// constructions (on by default in the router for speed; set
-	// SingleStep to force one-candidate-per-round).
+	// SingleStep forces one-candidate-per-round Steiner-point admission
+	// inside the iterated constructions (Figure 5 as written). By default
+	// the router admits in batches (core.Options.Batched) for speed.
 	SingleStep bool `json:"single_step,omitempty"`
 	// SegLens overrides the architecture's per-track wire segment lengths
 	// (nil keeps the circuit's default, single-length channels). See
@@ -507,16 +488,6 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 	}
 	fab.BeginNet(net.Pins)
 	terms := pinNodes(fab, net.Pins)
-	if opts.GoalDirected && len(terms) == 2 && terms[0] != terms[1] {
-		// 2-pin net: a single point-to-point connection, which bidirectional
-		// Dijkstra finds settling roughly half the nodes of a one-sided
-		// search — no Steiner construction or candidate pool needed.
-		_, path, ok := fab.Graph().BiDijkstra(ctx.scratch, terms[0], terms[1])
-		if !ok {
-			return graph.Tree{}, steiner.ErrNoRoute
-		}
-		return graph.NewTree(fab.Graph(), path), nil
-	}
 	var cache *graph.SPTCache
 	var pool []graph.NodeID
 	if needsPool {
@@ -525,19 +496,14 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 	} else {
 		cache = termCache(fab, terms)
 	}
-	if opts.GoalDirected {
-		cache = cache.WithBounds(fab.Bounds())
-	}
 	cache = ctx.attach(cache)
 	defer cache.Release()
-	iterOpts := core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers, Lazy: opts.LazyScan}
+	iterOpts := core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers}
 	// record forwards an iterated construction's work counters — candidate
-	// evaluations, screened candidates, admitted points, lazy-queue
-	// savings, and the parallel scans' wall/CPU split — to the context's
-	// collector.
+	// evaluations, screened candidates, admitted points, and the parallel
+	// scans' wall/CPU split — to the context's collector.
 	record := func(st core.Stats) {
 		ctx.Stats.AddCandidateWork(st.Evaluations, st.Screened, st.PointsChosen)
-		ctx.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 		ctx.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
 		// Worker forks run Dijkstra on their own scratch, invisible to the
 		// context scratch's counter deltas recorded by routeOnFabric.

@@ -142,112 +142,15 @@ func TestEndToEndMinWidthParity(t *testing.T) {
 	}
 }
 
-// TestLazyScanWireParity covers the lazy_scan knob end to end over the
-// wire: SubmitRequest embeds router.Options, so the JSON fields single_step
-// and lazy_scan must reach the worker's router, and the routed result must
-// be bit-identical to the same lazy route run in-process — plumbing
-// parity, pinning both the wire names and that the knob actually arrives.
-// (Identity against a lazy-off route is deliberately NOT asserted: on
-// busc's congestion-weighted fabric the lazy scan may admit different
-// Steiner points — see core.lazyQueue's exactness contract.)
-func TestLazyScanWireParity(t *testing.T) {
-	_, ts := harness(t, Config{Workers: 1, QueueDepth: 4})
-
-	// Raw JSON (not a struct literal) so the test also pins the wire names.
-	req := []byte(`{"mode":"route","circuit":"busc","seed":1,"width":10,
-		"options":{"max_passes":4,"single_step":true,"lazy_scan":true,"candidate_workers":1}}`)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	final := pollUntilTerminal(t, ts.URL, st.ID, 2*time.Minute)
-	if final.State != StateDone {
-		t.Fatalf("job ended %s (%s)", final.State, final.Error)
-	}
-	var rr ResultResponse
-	if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/result", &rr); code != http.StatusOK {
-		t.Fatalf("result: HTTP %d", code)
-	}
-
-	spec, _ := circuits.SpecByName("busc")
-	ckt, err := circuits.Synthesize(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := router.Route(ckt, 10, router.Options{MaxPasses: 4, SingleStep: true, CandidateWorkers: 1, LazyScan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(rr.Result)
-	want, _ := json.Marshal(wantRes)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("lazy wire result differs from lazy direct route:\n%.200s\nvs\n%.200s", got, want)
-	}
-}
-
-// TestGoalDirectedWireParity pins the goal_directed wire name and its
-// plumbing: a route submitted with goal_directed must be bit-identical to
-// the same goal-directed route run in-process. (Identity against the
-// default route is deliberately NOT asserted: goal-directed searches may
-// pick different equal-cost shortest paths — see router.Options.)
-func TestGoalDirectedWireParity(t *testing.T) {
-	_, ts := harness(t, Config{Workers: 1, QueueDepth: 4})
-
-	req := []byte(`{"mode":"route","circuit":"busc","seed":1,"width":10,
-		"options":{"max_passes":4,"candidate_workers":1,"goal_directed":true}}`)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	final := pollUntilTerminal(t, ts.URL, st.ID, 2*time.Minute)
-	if final.State != StateDone {
-		t.Fatalf("job ended %s (%s)", final.State, final.Error)
-	}
-	var rr ResultResponse
-	if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/result", &rr); code != http.StatusOK {
-		t.Fatalf("result: HTTP %d", code)
-	}
-
-	spec, _ := circuits.SpecByName("busc")
-	ckt, err := circuits.Synthesize(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := router.Route(ckt, 10, router.Options{MaxPasses: 4, CandidateWorkers: 1, GoalDirected: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(rr.Result)
-	want, _ := json.Marshal(wantRes)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("goal-directed wire result differs from direct route:\n%.200s\nvs\n%.200s", got, want)
-	}
-}
-
-// assertParallelWireParity submits a term1 route at width 10 with the
-// given options body and requires its result bit-identical to the same
-// net-parallel route run in-process with Options{Parallel: true}.
-func assertParallelWireParity(t *testing.T, options string) {
+// assertWireParity submits a route of circuit (seed 1) at width 10 with
+// the given options body, raw JSON so the test also pins the wire names,
+// and requires its result bit-identical to the same route run in-process
+// with want.
+func assertWireParity(t *testing.T, circuit, options string, want router.Options) {
 	t.Helper()
 	_, ts := harness(t, Config{Workers: 1, QueueDepth: 4})
 
-	req := []byte(`{"mode":"route","circuit":"term1","seed":1,"width":10,"options":` + options + `}`)
+	req := []byte(`{"mode":"route","circuit":"` + circuit + `","seed":1,"width":10,"options":` + options + `}`)
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
@@ -269,19 +172,19 @@ func assertParallelWireParity(t *testing.T, options string) {
 		t.Fatalf("result: HTTP %d", code)
 	}
 
-	spec, _ := circuits.SpecByName("term1")
+	spec, _ := circuits.SpecByName(circuit)
 	ckt, err := circuits.Synthesize(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := router.Route(ckt, 10, router.Options{Parallel: true})
+	wantRes, err := router.Route(ckt, 10, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := json.Marshal(rr.Result)
-	want, _ := json.Marshal(wantRes)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: wire result differs from direct parallel route:\n%.200s\nvs\n%.200s", options, got, want)
+	gotJSON, _ := json.Marshal(rr.Result)
+	wantJSON, _ := json.Marshal(wantRes)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("%s %s: wire result differs from direct route with %+v:\n%.200s\nvs\n%.200s", circuit, options, want, gotJSON, wantJSON)
 	}
 }
 
@@ -292,7 +195,7 @@ func assertParallelWireParity(t *testing.T, options string) {
 // net_workers:2 against the direct route's default is part of the
 // contract, not a fixture detail).
 func TestParallelWireParity(t *testing.T) {
-	assertParallelWireParity(t, `{"parallel":true,"net_workers":2}`)
+	assertWireParity(t, "term1", `{"parallel":true,"net_workers":2}`, router.Options{Parallel: true})
 }
 
 // TestIncrementalWireParity pins the incremental_reroute wire name:
@@ -300,7 +203,21 @@ func TestParallelWireParity(t *testing.T) {
 // accepted and route exactly like parallel:true alone, since partial
 // rip-up is the only mode.
 func TestIncrementalWireParity(t *testing.T) {
-	assertParallelWireParity(t, `{"parallel":true,"incremental_reroute":true}`)
+	assertWireParity(t, "term1", `{"parallel":true,"incremental_reroute":true}`, router.Options{Parallel: true})
+}
+
+// TestLazyScanWireParity: requests that still carry the retired lazy_scan
+// field must be accepted and route exactly like the same request without
+// it. busc single-step at width 10 is a route the lazy scan used to change.
+func TestLazyScanWireParity(t *testing.T) {
+	assertWireParity(t, "busc", `{"lazy_scan":true,"single_step":true}`, router.Options{SingleStep: true})
+}
+
+// TestGoalDirectedWireParity: requests that still carry the retired
+// goal_directed field must be accepted and route exactly like the default
+// route, which goal-directed search used to change on busc at width 10.
+func TestGoalDirectedWireParity(t *testing.T) {
+	assertWireParity(t, "busc", `{"goal_directed":true}`, router.Options{})
 }
 
 // TestDeadlineJobCancels: a short-deadline job transitions to canceled

@@ -25,9 +25,6 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string) {
 	counter("candidate_evals_total", "Steiner-candidate evaluations.", s.CandidateEvals)
 	counter("candidates_screened_total", "Steiner-candidate evaluations the IKMB cost screen ruled out without building a tree.", s.Screened)
 	counter("steiner_points_total", "Steiner points admitted.", s.SteinerPoints)
-	counter("lazy_scan_hits_total", "Scan rounds the lazy queue served with a partial evaluation.", s.LazyHits)
-	counter("full_rescans_total", "Lazy-scan exactness fallbacks to an exhaustive rescan.", s.FullRescans)
-	counter("evaluations_saved_total", "Base-heuristic evaluations avoided by the lazy scan.", s.EvalsSaved)
 	counter("parallel_scans_total", "Candidate-scan rounds fanned out over workers.", s.ParallelScans)
 	counter("job_retries_total", "Service-job retries after transient failures.", s.JobRetries)
 	counter("worker_panics_total", "Worker panics recovered by per-job isolation.", s.JobPanics)

@@ -37,9 +37,6 @@ type Collector struct {
 	candEvals    atomic.Int64
 	screened     atomic.Int64
 	steinerPts   atomic.Int64
-	lazyHits     atomic.Int64
-	fullRescans  atomic.Int64
-	evalsSaved   atomic.Int64
 	parScans     atomic.Int64
 	scanWallNs   atomic.Int64
 	scanCPUNs    atomic.Int64
@@ -130,18 +127,6 @@ func (c *Collector) AddCandidateWork(evals, screened, points int64) {
 	c.candEvals.Add(evals)
 	c.screened.Add(screened)
 	c.steinerPts.Add(points)
-}
-
-// AddLazyScan records the lazy candidate-scan queue's outcomes: hits rounds
-// served with a partial evaluation, rescans exactness fallbacks, and saved
-// net base-heuristic evaluations avoided versus the exhaustive scan.
-func (c *Collector) AddLazyScan(hits, rescans, saved int64) {
-	if c == nil {
-		return
-	}
-	c.lazyHits.Add(hits)
-	c.fullRescans.Add(rescans)
-	c.evalsSaved.Add(saved)
 }
 
 // AddScans records n parallel candidate-scan rounds (rounds that actually
@@ -287,9 +272,6 @@ type Snapshot struct {
 	// without building a tree.
 	Screened       int64
 	SteinerPoints  int64
-	LazyHits       int64
-	FullRescans    int64
-	EvalsSaved     int64
 	ParallelScans  int64
 	ScanWall       time.Duration
 	ScanCPU        time.Duration
@@ -337,9 +319,6 @@ func (c *Collector) Snapshot() Snapshot {
 		CandidateEvals: c.candEvals.Load(),
 		Screened:       c.screened.Load(),
 		SteinerPoints:  c.steinerPts.Load(),
-		LazyHits:       c.lazyHits.Load(),
-		FullRescans:    c.fullRescans.Load(),
-		EvalsSaved:     c.evalsSaved.Load(),
 		ParallelScans:  c.parScans.Load(),
 		ScanWall:       time.Duration(c.scanWallNs.Load()),
 		ScanCPU:        time.Duration(c.scanCPUNs.Load()),
@@ -376,10 +355,6 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "  nets routed        %d (failures %d, rip-ups %d)\n", s.NetsRouted, s.NetFailures, s.RipUps)
 	fmt.Fprintf(&b, "  passes             %d (width probes %d)\n", s.Passes, s.WidthProbes)
 	fmt.Fprintf(&b, "  candidate evals    %d (screened %d, Steiner points admitted %d)\n", s.CandidateEvals, s.Screened, s.SteinerPoints)
-	if s.LazyHits+s.FullRescans+s.EvalsSaved != 0 {
-		fmt.Fprintf(&b, "  lazy scan          hits %d, full rescans %d, evaluations saved %d\n",
-			s.LazyHits, s.FullRescans, s.EvalsSaved)
-	}
 	if s.ParallelScans > 0 {
 		par := 0.0
 		if s.ScanWall > 0 {
