@@ -16,6 +16,7 @@ import (
 	"fpgarouter/internal/congest"
 	"fpgarouter/internal/core"
 	"fpgarouter/internal/experiments"
+	"fpgarouter/internal/fpga"
 	"fpgarouter/internal/graph"
 	"fpgarouter/internal/render"
 	"fpgarouter/internal/router"
@@ -208,6 +209,27 @@ func BenchmarkFigure16Render(b *testing.B) {
 	}
 }
 
+// BenchmarkNewFabric builds the routing fabric of each perfbench circuit at
+// its paper width: a cost every route and every result check pays before
+// its first search.
+func BenchmarkNewFabric(b *testing.B) {
+	for _, name := range []string{"busc", "dma", "term1", "apex7", "9symml"} {
+		spec, ok := circuits.SpecByName(name)
+		if !ok {
+			b.Fatalf("unknown circuit %s", name)
+		}
+		arch := spec.ArchAt(spec.PaperIKMB)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := fpga.NewFabric(arch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Ablation benches (DESIGN.md §5) ---
 
 // BenchmarkIGMSTBatchedVsSingle isolates the batched Steiner-point
@@ -366,6 +388,78 @@ func BenchmarkCandidateScan(b *testing.B) {
 				cache.Release()
 			}
 		})
+	}
+}
+
+// netSearches returns busc's fabric at its paper width and, for its first
+// 32 nets, the pins and the stop set the routers' per-net caches search to:
+// the net's pins plus its Steiner-candidate pool (margin 2, at most 1024
+// nodes, the routers' defaults).
+func netSearches(b *testing.B) (*fpga.Fabric, []circuits.Net, [][]graph.NodeID) {
+	b.Helper()
+	ckt := synthBench(b, "busc")
+	fab, err := fpga.NewFabric(ckt.ArchAt(ckt.Spec.PaperIKMB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	nets := ckt.Nets[:min(32, len(ckt.Nets))]
+	stops := make([][]graph.NodeID, len(nets))
+	for i, net := range nets {
+		for _, p := range net.Pins {
+			stops[i] = append(stops[i], fab.PinNode(p))
+		}
+		stops[i] = append(stops[i], fab.SteinerPool(net.Pins, 2, 1024)...)
+	}
+	return fab, nets, stops
+}
+
+// BenchmarkSSSP_RouterNet times the sequential router's per-net search:
+// BeginNet opens the net's pins, then a stop-set Dijkstra runs from its
+// first pin through a per-net cache, as routeNet does. One op covers the
+// 32 nets of netSearches.
+func BenchmarkSSSP_RouterNet(b *testing.B) {
+	fab, nets, stops := netSearches(b)
+	s := graph.NewDijkstraScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, net := range nets {
+			fab.BeginNet(net.Pins)
+			c := graph.NewSPTCacheWithin(fab.Graph(), stops[k]).WithScratch(s)
+			c.Tree(stops[k][0])
+			c.Release()
+		}
+	}
+}
+
+// BenchmarkSSSP_PathfinderNet times the pathfinder's per-net search: a
+// goal-directed stop-set search under an overlay that blocks every pin but
+// the net's own, at iteration 1's zero prices, through a per-net cache as
+// the pathfinder's construct does. One op covers the 32 nets of
+// netSearches.
+func BenchmarkSSSP_PathfinderNet(b *testing.B) {
+	fab, nets, stops := netSearches(b)
+	ov := graph.NewOverlay(fab.Graph())
+	lo, hi := fab.PinNodeRange()
+	for v := lo; v < hi; v++ {
+		ov.Block(v)
+	}
+	s := graph.NewDijkstraScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, net := range nets {
+			terms := stops[k][:len(net.Pins)]
+			for _, v := range terms {
+				ov.Unblock(v)
+			}
+			c := graph.NewSPTCacheWithin(fab.Graph(), stops[k]).WithScratch(s).WithBounds(fab.Bounds()).WithOverlay(ov)
+			c.Tree(terms[0])
+			c.Release()
+			for _, v := range terms {
+				ov.Block(v)
+			}
+		}
 	}
 }
 

@@ -235,6 +235,80 @@ func writeBenchJSON(path string, quick bool) error {
 		runSSSP(mode, s)
 		return s.Settled - before
 	}
+	// The per-net pair times the searches as the routers run them, on busc
+	// at its paper width, from each of the first 32 nets' first pin to its
+	// pins plus Steiner-candidate pool (margin 2, at most 1024 nodes):
+	// SSSP_RouterNet opens the net's pins with BeginNet and runs the
+	// sequential router's stop-set Dijkstra; SSSP_PathfinderNet runs the
+	// pathfinder's goal-directed search under an overlay that blocks every
+	// other pin, at zero prices. Unlike the trio's fresh fabric, where every
+	// tap is enabled, both see only the net's own pins, which is what lets
+	// the searches skip the other pins' taps. Both search through a per-net
+	// cache on a warm scratch; the root package's benchmarks of the same
+	// names run the same loops. Each has its own fabric: the pathfinder
+	// searches a fabric in its reset state, which BeginNet would disturb.
+	rfab, err := fpga.NewFabric(ckt.ArchAt(spec.PaperIKMB))
+	if err != nil {
+		return err
+	}
+	pfab, err := fpga.NewFabric(ckt.ArchAt(spec.PaperIKMB))
+	if err != nil {
+		return err
+	}
+	netPins := ckt.Nets[:min(32, len(ckt.Nets))]
+	netStops := make([][]graph.NodeID, len(netPins))
+	for i, net := range netPins {
+		for _, p := range net.Pins {
+			netStops[i] = append(netStops[i], pfab.PinNode(p))
+		}
+		netStops[i] = append(netStops[i], pfab.SteinerPool(net.Pins, 2, 1024)...)
+	}
+	netOv := graph.NewOverlay(pfab.Graph())
+	pinLo, pinHi := pfab.PinNodeRange()
+	for v := pinLo; v < pinHi; v++ {
+		netOv.Block(v)
+	}
+	runNets := func(pathfinder bool, s *graph.DijkstraScratch) {
+		for k, net := range netPins {
+			stop := netStops[k]
+			terms := stop[:len(net.Pins)]
+			var c *graph.SPTCache
+			if pathfinder {
+				for _, v := range terms {
+					netOv.Unblock(v)
+				}
+				c = graph.NewSPTCacheWithin(pfab.Graph(), stop).WithScratch(s).WithBounds(pfab.Bounds()).WithOverlay(netOv)
+			} else {
+				rfab.BeginNet(net.Pins)
+				c = graph.NewSPTCacheWithin(rfab.Graph(), stop).WithScratch(s)
+			}
+			c.Tree(terms[0])
+			c.Release()
+			if pathfinder {
+				for _, v := range terms {
+					netOv.Block(v)
+				}
+			}
+		}
+	}
+	benchNets := func(pathfinder bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := graph.NewDijkstraScratch()
+			runNets(pathfinder, s) // warm the scratch buffers before timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runNets(pathfinder, s)
+			}
+		}
+	}
+	netsExpanded := func(pathfinder bool) func() int64 {
+		return func() int64 {
+			s := graph.NewDijkstraScratch()
+			runNets(pathfinder, s)
+			return s.Settled
+		}
+	}
 	// benchParallel measures the pathfinder-mode router on busc at the
 	// paper's width with a fixed net-worker count; pfIters instruments one
 	// untimed run for the iterations_per_op provenance.
@@ -287,6 +361,8 @@ func writeBenchJSON(path string, quick bool) error {
 		{name: "BenchmarkSSSP_Legacy", fn: benchSSSP(ssspLegacy), expand: func() int64 { return ssspExpanded(ssspLegacy) }},
 		{name: "BenchmarkSSSP_CSR", fn: benchSSSP(ssspCSR), expand: func() int64 { return ssspExpanded(ssspCSR) }},
 		{name: "BenchmarkSSSP_AStar", fn: benchSSSP(ssspAStar), expand: func() int64 { return ssspExpanded(ssspAStar) }},
+		{name: "BenchmarkSSSP_RouterNet", fn: benchNets(false), expand: netsExpanded(false)},
+		{name: "BenchmarkSSSP_PathfinderNet", fn: benchNets(true), expand: netsExpanded(true)},
 	}
 	if !quick {
 		benches = append(benches,

@@ -49,7 +49,7 @@ func TestDemandGammaPrefersUndemandedWires(t *testing.T) {
 	span, _, _ := f.pinSpan(pin)
 	pn := f.PinNode(pin)
 	demanded := make(map[WireID]bool)
-	for _, w := range f.pinWires[pn] {
+	for _, w := range f.pinWires(pn) {
 		demanded[w] = true
 	}
 	// Wires of the span the pin taps must cost more than its other wires.
@@ -146,10 +146,10 @@ func TestBeginNetKeepsClaimedTapsDisabled(t *testing.T) {
 	pn := f.PinNode(pin)
 	// Claim the pin's only tap wire by committing a tree using it.
 	f.BeginNet([]Pin{pin})
-	tap := f.pinTaps[pn][0]
+	tap := f.pinTaps(pn)[0]
 	f.CommitNet(graph.NewTree(f.g, []graph.EdgeID{tap}))
 	f.BeginNet([]Pin{pin})
-	for _, e := range f.pinTaps[pn] {
+	for _, e := range f.pinTaps(pn) {
 		if f.edgeWire[e] == f.edgeWire[tap] && f.g.Enabled(e) {
 			t.Fatal("tap edge of a claimed wire re-enabled by BeginNet")
 		}

@@ -35,15 +35,23 @@ type Fabric struct {
 	hSpans   int // Cols*(Rows+1) horizontal channel spans
 	numSpans int // hSpans + (Cols+1)*Rows
 
-	edgeWire  []WireID                        // edge → owning wire (or noWire)
-	wireEdges [][]graph.EdgeID                // wire → its segment and tap edges
-	wireSpans [][]int32                       // wire → channel spans it covers (≥1 when segmented)
-	spanWire  []WireID                        // (span*W + track) → covering wire
-	claimed   []bool                          // wire → claimed by a committed net
-	spanUsed  []int32                         // span → number of claimed wires
-	baseW     []float64                       // edge → uncongested wirelength
-	pinTaps   map[graph.NodeID][]graph.EdgeID // pin node → its tap edges
-	pinWires  map[graph.NodeID][]WireID       // pin node → wires it taps
+	edgeWire  []WireID         // edge → owning wire (or noWire)
+	wireEdges [][]graph.EdgeID // wire → its segment and tap edges
+	wireSpans [][]int32        // wire → channel spans it covers (≥1 when segmented)
+	spanWire  []WireID         // (span*W + track) → covering wire
+	claimed   []bool           // wire → claimed by a committed net
+	spanUsed  []int32          // span → number of claimed wires
+	baseW     []float64        // edge → uncongested wirelength
+	// taps and tapWires hold every pin's connection block, indexed by
+	// pin = node − numSB: pin i owns taps[2·Fc·i:2·Fc·(i+1)] (two per
+	// wire, one toward each wire end) and tapWires[Fc·i:Fc·(i+1)]. See
+	// pinTaps and pinWires.
+	taps     []graph.EdgeID
+	tapWires []WireID
+	// open lists the pins whose taps BeginNet may have left enabled: the
+	// last net's pins, or every pin after NewFabric and Reset. Every other
+	// pin's taps are disabled. nextOpen is BeginNet's spare buffer.
+	open, nextOpen []graph.NodeID
 
 	wireDemand []int32 // wire → unrouted pins that can only tap this wire
 	spanDemand []int32 // span → unrouted pin taps wanting this span
@@ -76,6 +84,11 @@ func NewFabric(a Arch) (*Fabric, error) {
 	f.numSpans = f.hSpans + (a.Cols+1)*a.Rows
 	numPins := a.Cols * a.Rows * 4 * a.PinsPerSide
 	f.g = graph.New(f.numSB + numPins)
+	// At most one wire per span and track, one jog per switch-block track
+	// and 2·Fc taps per pin.
+	maxEdges := f.numSpans*a.W + (a.Cols+1)*(a.Rows+1)*a.W + numPins*2*a.Fc
+	f.edgeWire = make([]WireID, 0, maxEdges)
+	f.baseW = make([]float64, 0, maxEdges)
 	f.spanWire = make([]WireID, f.numSpans*a.W)
 	f.spanUsed = make([]int32, f.numSpans)
 	f.spanDemand = make([]int32, f.numSpans)
@@ -158,9 +171,12 @@ func NewFabric(a Arch) (*Fabric, error) {
 	}
 
 	// Connection blocks: each pin taps Fc of the W tracks of its adjacent
-	// channel span, reaching both switch blocks bounding the span.
-	f.pinTaps = make(map[graph.NodeID][]graph.EdgeID, numPins)
-	f.pinWires = make(map[graph.NodeID][]WireID, numPins)
+	// channel span, reaching both switch blocks bounding the span. They
+	// are the last edges added, so each switch-block node's arcs into pins
+	// form the trailing run of its CSR arcs that SetPinBoundary lets the
+	// searches skip.
+	f.taps = make([]graph.EdgeID, numPins*2*a.Fc)
+	f.tapWires = make([]WireID, numPins*a.Fc)
 	pinOrdinal := 0
 	for y := 0; y < a.Rows; y++ {
 		for x := 0; x < a.Cols; x++ {
@@ -169,6 +185,7 @@ func NewFabric(a Arch) (*Fabric, error) {
 					pin := Pin{X: x, Y: y, Side: side, Index: k}
 					pn := f.PinNode(pin)
 					span, _, _ := f.pinSpan(pin)
+					taps, wires := f.pinTaps(pn), f.pinWires(pn)
 					for c := 0; c < a.Fc; c++ {
 						t := (pinOrdinal + c*a.W/a.Fc) % a.W
 						w := f.spanWire[span*a.W+t]
@@ -188,8 +205,8 @@ func NewFabric(a Arch) (*Fabric, error) {
 						first := graph.EdgeID(f.g.NumEdges())
 						addWireEdge(w, pn, wireEdge.U, lenA)
 						addWireEdge(w, pn, wireEdge.V, lenB)
-						f.pinTaps[pn] = append(f.pinTaps[pn], first, first+1)
-						f.pinWires[pn] = append(f.pinWires[pn], w)
+						taps[2*c], taps[2*c+1] = first, first+1
+						wires[c] = w
 					}
 					pinOrdinal++
 				}
@@ -199,9 +216,33 @@ func NewFabric(a Arch) (*Fabric, error) {
 	// The edge set is final from here on (routing only toggles enables and
 	// reweights); freezing now means the CSR layout is built once and never
 	// lazily rebuilt under concurrent read-only scans.
+	f.g.SetPinBoundary(graph.NodeID(f.numSB))
 	f.g.Freeze()
+	f.openAllPins()
 	f.buildBounds()
 	return f, nil
+}
+
+// pinTaps returns pin node pn's 2·Fc tap edges: for each of its Fc wires,
+// the taps toward the wire's two ends, side by side.
+func (f *Fabric) pinTaps(pn graph.NodeID) []graph.EdgeID {
+	i := (int(pn) - f.numSB) * 2 * f.Fc
+	return f.taps[i : i+2*f.Fc]
+}
+
+// pinWires returns the Fc wires pin node pn taps.
+func (f *Fabric) pinWires(pn graph.NodeID) []WireID {
+	i := (int(pn) - f.numSB) * f.Fc
+	return f.tapWires[i : i+f.Fc]
+}
+
+// openAllPins records every pin as open: its taps may be enabled, as they
+// all are after NewFabric and Reset.
+func (f *Fabric) openAllPins() {
+	f.open = f.open[:0]
+	for v := f.numSB; v < f.g.NumNodes(); v++ {
+		f.open = append(f.open, graph.NodeID(v))
+	}
 }
 
 // buildBounds assigns every routing node its physical coordinate: switch
@@ -400,17 +441,28 @@ func (f *Fabric) PinOf(v graph.NodeID) (Pin, bool) {
 // unrelated pins (a pin is not a routing switch — only the net's own
 // terminals may fan out through their connection blocks). Tap edges of the
 // net's pins are enabled unless their wire is already claimed.
+//
+// Only taps that may be enabled are touched: those of the pins the last
+// call opened, which it now closes, and the new net's. CommitNet only ever
+// disables edges, so every other pin's taps are still disabled. After
+// NewFabric and Reset every pin counts as open, which makes the first call
+// a pass over all pins.
 func (f *Fabric) BeginNet(pins []Pin) {
-	active := make(map[graph.NodeID]bool, len(pins))
+	next := f.nextOpen[:0]
 	for _, p := range pins {
-		active[f.PinNode(p)] = true
+		next = append(next, f.PinNode(p))
 	}
-	for node, taps := range f.pinTaps {
-		on := active[node]
-		for _, e := range taps {
-			f.g.SetEnabled(e, on && !f.claimed[f.edgeWire[e]])
+	for _, pn := range f.open {
+		for _, e := range f.pinTaps(pn) {
+			f.g.SetEnabled(e, false)
 		}
 	}
+	for _, pn := range next {
+		for _, e := range f.pinTaps(pn) {
+			f.g.SetEnabled(e, !f.claimed[f.edgeWire[e]])
+		}
+	}
+	f.open, f.nextOpen = next, f.open
 }
 
 // CommitNet commits a routed tree: every wire touched by the tree is
@@ -451,7 +503,7 @@ func (f *Fabric) CommitNet(t graph.Tree) []WireID {
 func (f *Fabric) AddPinDemand(p Pin, delta int32) {
 	pn := f.PinNode(p)
 	span, _, _ := f.pinSpan(p)
-	for _, w := range f.pinWires[pn] {
+	for _, w := range f.pinWires(pn) {
 		f.wireDemand[w] += delta
 	}
 	f.spanDemand[span] += delta
@@ -522,6 +574,7 @@ func (f *Fabric) Reset() {
 		f.g.SetEnabled(graph.EdgeID(id), true)
 		f.g.SetWeight(graph.EdgeID(id), f.baseW[id])
 	}
+	f.openAllPins()
 }
 
 // BaseWirelength returns the uncongested wirelength of a routed tree (the

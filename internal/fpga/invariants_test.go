@@ -30,7 +30,7 @@ func TestFabricInvariants(t *testing.T) {
 				for _, side := range []Side{North, East, South, West} {
 					for k := 0; k < a.PinsPerSide; k++ {
 						pn := f.PinNode(Pin{X: x, Y: y, Side: side, Index: k})
-						taps := f.pinTaps[pn]
+						taps := f.pinTaps(pn)
 						if len(taps) != 2*a.Fc {
 							t.Fatalf("arch %d pin %v: %d taps, want %d", ai, pn, len(taps), 2*a.Fc)
 						}

@@ -75,7 +75,7 @@ func TestSegmentedTapWeightsReflectPosition(t *testing.T) {
 	pin := Pin{X: 2, Y: 0, Side: South} // horizontal span (2,0), track 1 wire covers 0..4
 	pn := f.PinNode(pin)
 	var longTaps []float64
-	for _, e := range f.pinTaps[pn] {
+	for _, e := range f.pinTaps(pn) {
 		w := f.edgeWire[e]
 		if len(f.wireSpans[w]) > 1 {
 			longTaps = append(longTaps, f.g.Weight(e))

@@ -62,25 +62,21 @@ func (g *Graph) goalDirected(s *DijkstraScratch, t *SPT, src NodeID, stop []Node
 		}
 		s.done[u] = ep
 		s.Settled++
+		t.settled = append(t.settled, u)
 		if s.stop[u] == ep {
 			remaining--
 			if remaining == 0 {
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
+				return t.finish(*q, s.done, ep)
 			}
 		}
 		du := t.Dist[u]
 		// As in dijkstraWith, no settled check per arc: with a consistent h
 		// a settled node's distance is final, so the improvement test
-		// rejects its arcs on its own.
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
+		// rejects its arcs on its own; and a pin tail with no enabled arc
+		// is not scanned.
+		lo, hi := g.offsets[u], g.scanEnd(u)
+		as := g.arcs[lo:hi]
+		ws := g.arcw[lo:hi]
 		ws = ws[:len(as)]
 		for k := range as {
 			to := as[k].To
@@ -98,5 +94,5 @@ func (g *Graph) goalDirected(s *DijkstraScratch, t *SPT, src NodeID, stop []Node
 	// unreachable. Every node ever relaxed was settled (lazy deletion left
 	// nothing pending), so settled distances are final and the rest are
 	// already Inf.
-	return t
+	return t.finish(nil, s.done, ep)
 }

@@ -13,41 +13,60 @@ import (
 // reweights and early-stop sets. This is the refactor's core contract: the
 // CSR rebuild places each node's arcs in edge-insertion order, exactly how
 // the old layout's appends ordered them, so the two loops relax the same
-// arcs in the same order with the same arithmetic.
-func TestQuickCSRMatchesLegacyDijkstra(t *testing.T) {
+// arcs in the same order with the same arithmetic. Half the instances
+// declare a pin boundary (pinGrid), and between their searches the pin
+// edges go through BeginNet-style enables and random flips, so the pin-tail
+// skip runs against the full-scan oracle.
+func TestQuickLegacyDijkstraParity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(60)
-		g := RandomConnected(rng, n, n*3, 8)
+		var g *Graph
+		var p *pinGrid
+		if rng.Intn(2) == 0 {
+			n := 5 + rng.Intn(60)
+			g = RandomConnected(rng, n, n*3, 8)
+		} else {
+			p = newPinGrid(seed, true)
+			g = p.Graph
+		}
+		n := g.NumNodes()
 		for i := 0; i < g.NumEdges()/4; i++ {
 			g.SetEnabled(EdgeID(rng.Intn(g.NumEdges())), false)
 		}
 		for i := 0; i < g.NumEdges()/4; i++ {
 			g.SetWeight(EdgeID(rng.Intn(g.NumEdges())), 1+rng.Float64()*10)
 		}
-		src := NodeID(rng.Intn(n))
-		var stop []NodeID
-		if rng.Intn(2) == 0 {
-			stop = RandomNet(rng, g, 1+rng.Intn(n))
-		}
-		s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
-		a := g.dijkstraWith(s1, src, stop)
-		b := g.LegacyDijkstra(s2, src, stop)
-		for v := 0; v < n; v++ {
-			if a.Dist[v] != b.Dist[v] || a.ParentEdge[v] != b.ParentEdge[v] || a.ParentNode[v] != b.ParentNode[v] {
-				t.Logf("seed %d: node %d: csr (%v,%v,%v) legacy (%v,%v,%v)", seed, v,
-					a.Dist[v], a.ParentEdge[v], a.ParentNode[v], b.Dist[v], b.ParentEdge[v], b.ParentNode[v])
+		for round := 0; round < 4; round++ {
+			if p != nil && round > 0 {
+				p.openPins(rng, rng.Intn(4))
+				for i := 0; i < len(p.PinEdges)/4; i++ {
+					p.SetEnabled(p.PinEdges[rng.Intn(len(p.PinEdges))], rng.Intn(2) == 0)
+				}
+			}
+			src := NodeID(rng.Intn(n))
+			var stop []NodeID
+			if rng.Intn(2) == 0 {
+				stop = RandomNet(rng, g, 1+rng.Intn(n))
+			}
+			s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
+			a := g.dijkstraWith(s1, src, stop)
+			b := g.LegacyDijkstra(s2, src, stop)
+			for v := 0; v < n; v++ {
+				if a.Dist[v] != b.Dist[v] || a.ParentEdge[v] != b.ParentEdge[v] || a.ParentNode[v] != b.ParentNode[v] {
+					t.Logf("seed %d round %d: node %d: csr (%v,%v,%v) legacy (%v,%v,%v)", seed, round, v,
+						a.Dist[v], a.ParentEdge[v], a.ParentNode[v], b.Dist[v], b.ParentEdge[v], b.ParentNode[v])
+					return false
+				}
+			}
+			if s1.Settled != s2.Settled || s1.HeapPushes != s2.HeapPushes {
+				t.Logf("seed %d round %d: counters csr (%d,%d) legacy (%d,%d)", seed, round,
+					s1.Settled, s1.HeapPushes, s2.Settled, s2.HeapPushes)
 				return false
 			}
 		}
-		if s1.Settled != s2.Settled || s1.HeapPushes != s2.HeapPushes {
-			t.Logf("seed %d: counters csr (%d,%d) legacy (%d,%d)", seed,
-				s1.Settled, s1.HeapPushes, s2.Settled, s2.HeapPushes)
-			return false
-		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

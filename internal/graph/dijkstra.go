@@ -17,6 +17,12 @@ type SPT struct {
 	Dist       []float64
 	ParentEdge []EdgeID
 	ParentNode []NodeID
+
+	// settled lists the nodes the last search settled, in order; tidy
+	// reports that the search finished, leaving labels only at those nodes
+	// (see reset and finish).
+	settled []NodeID
+	tidy    bool
 }
 
 // pqItem is an entry in the Dijkstra priority queue. The queue is a plain
@@ -152,30 +158,27 @@ func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop []Node
 		}
 		s.done[u] = ep
 		s.Settled++
+		t.settled = append(t.settled, u)
 		if remaining >= 0 && s.stop[u] == ep {
 			remaining--
 			if remaining == 0 {
 				// Every requested node is settled; invalidate tentative
 				// state of unsettled nodes so they read as unreachable
 				// rather than carrying half-relaxed distances.
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
+				return t.finish(*q, s.done, ep)
 			}
 		}
 		du := t.Dist[u]
 		// No settled check per arc: a settled node's distance is final and
 		// weights are non-negative, so nd = du + w ≥ du ≥ Dist[to] and the
 		// improvement test rejects it anyway — same pushes, same counters,
-		// one fewer random load per arc. Sub-slicing arcs/weights to the
-		// node's range lets the compiler drop the per-arc bounds checks.
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
+		// one fewer random load per arc. Nor is a pin tail with no enabled
+		// arc scanned (see SetPinBoundary): every arc in it carries +Inf.
+		// Sub-slicing arcs/weights to the scanned range lets the compiler
+		// drop the per-arc bounds checks.
+		lo, hi := g.offsets[u], g.scanEnd(u)
+		as := g.arcs[lo:hi]
+		ws := g.arcw[lo:hi]
 		ws = ws[:len(as)]
 		for k := range as {
 			to := as[k].To
@@ -189,7 +192,7 @@ func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop []Node
 			}
 		}
 	}
-	return t
+	return t.finish(nil, s.done, ep)
 }
 
 // PathTo returns the edge IDs of the tree path from the source to v, in

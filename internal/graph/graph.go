@@ -88,12 +88,27 @@ type Graph struct {
 	// effective weight — the edge weight, or +Inf when the edge is disabled,
 	// so the relaxation loop skips disabled edges with no extra memory
 	// access. slots maps edge id → its two arc positions (2id, 2id+1) for
-	// in-place attribute updates. dirty marks the view stale after AddEdge.
+	// in-place attribute updates. dirty marks the view stale after AddEdge
+	// or SetPinBoundary.
 	offsets []int32
 	arcs    []Arc
 	arcw    []float64
 	slots   []int32
 	dirty   bool
+
+	// pinLo is the pin boundary (SetPinBoundary): nodes at or above it are
+	// pins. tails[u] is the trailing run of u's arcs into pins and how many
+	// of them are enabled, so a search can skip a run no arc of which can
+	// relax. With no boundary declared pinLo is n and every run is empty.
+	pinLo NodeID
+	tails []pinTail
+}
+
+// pinTail describes the trailing run of one node's CSR arcs that lead into
+// pin nodes: arcs[start:offsets[u+1]], of which on are enabled.
+type pinTail struct {
+	start int32
+	on    int32
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -101,7 +116,26 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	return &Graph{n: n, offsets: make([]int32, n+1)}
+	return &Graph{n: n, offsets: make([]int32, n+1), pinLo: NodeID(n), tails: make([]pinTail, n)}
+}
+
+// SetPinBoundary declares nodes [lo, NumNodes()) pin nodes: endpoints a
+// route may enter only when the caller enables (or, under an overlay,
+// unblocks) them. The CSR view then records, per node, the trailing run of
+// its arcs into pins, and the searches skip that run when none of its arcs
+// can relax: a plain search when every arc in the run is disabled, an
+// overlay search when every pin the run reaches is blocked. Results and
+// work counters are unchanged; only the arcs scanned shrink. The skip pays
+// off when pin edges are added last, so that each node's arcs into pins
+// form one trailing run (the FPGA fabric adds its connection-block taps
+// after every wire). Declare the boundary before Freeze; it marks the CSR
+// view stale.
+func (g *Graph) SetPinBoundary(lo NodeID) {
+	if lo < 0 || int(lo) > g.n {
+		panic(fmt.Sprintf("graph: pin boundary %d out of range [0,%d]", lo, g.n))
+	}
+	g.pinLo = lo
+	g.dirty = true
 }
 
 // NumNodes reports the number of nodes.
@@ -141,11 +175,11 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) EdgeID {
 }
 
 // Freeze rebuilds the CSR adjacency view if it is stale. Mutating topology
-// (AddEdge) marks the view dirty; every traversal entry point refreshes it
-// lazily, so Freeze is only required before sharing the graph read-only
-// across goroutines (the lazy rebuild is not concurrency-safe). Attribute
-// mutations (SetWeight, SetEnabled) update the view in place and never
-// dirty it.
+// (AddEdge, SetPinBoundary) marks the view dirty; every traversal entry
+// point refreshes it lazily, so Freeze is only required before sharing the
+// graph read-only across goroutines (the lazy rebuild is not
+// concurrency-safe). Attribute mutations (SetWeight, SetEnabled) update the
+// view in place and never dirty it.
 func (g *Graph) Freeze() { g.ensureCSR() }
 
 func (g *Graph) ensureCSR() {
@@ -202,7 +236,40 @@ func (g *Graph) rebuildCSR() {
 		g.arcw[pv] = we
 		g.slots[2*id+1] = pv
 	}
+	if cap(g.tails) >= g.n {
+		g.tails = g.tails[:g.n]
+	} else {
+		g.tails = make([]pinTail, g.n)
+	}
+	for u := 0; u < g.n; u++ {
+		lo, i := g.offsets[u], g.offsets[u+1]
+		on := int32(0)
+		for ; i > lo && g.arcs[i-1].To >= g.pinLo; i-- {
+			if g.arcw[i-1] != inf {
+				on++
+			}
+		}
+		g.tails[u] = pinTail{start: i, on: on}
+	}
 	g.dirty = false
+}
+
+// scanEnd returns the end of the arcs a plain search scans out of u: the
+// whole run, or the run minus its pin tail when no tail arc is enabled.
+func (g *Graph) scanEnd(u NodeID) int32 {
+	if tl := g.tails[u]; tl.on == 0 {
+		return tl.start
+	}
+	return g.offsets[u+1]
+}
+
+// PinTail returns the trailing run of u's arcs that lead into pin nodes
+// (see SetPinBoundary) and how many of them are enabled. The slice aliases
+// the CSR view, like Adj's.
+func (g *Graph) PinTail(u NodeID) ([]Arc, int) {
+	g.ensureCSR()
+	tl := g.tails[u]
+	return g.arcs[tl.start:g.offsets[u+1]], int(tl.on)
 }
 
 func (g *Graph) enabledBit(id EdgeID) bool {
@@ -243,20 +310,29 @@ func (g *Graph) Enabled(id EdgeID) bool { return g.enabledBit(id) }
 // every traversal; the router disables edges committed to a routed net so
 // that subsequent nets remain electrically disjoint. The CSR view is
 // updated in place: a disabled edge's effective arc weight becomes +Inf, so
-// relaxation skips it without consulting the flag.
+// relaxation skips it without consulting the flag, and an arc in a pin
+// tail (see SetPinBoundary) moves its node's enabled-tail count. Setting
+// the state an edge already has is a no-op.
 func (g *Graph) SetEnabled(id EdgeID, enabled bool) {
-	if enabled {
-		g.enabled[id>>6] |= 1 << (uint(id) & 63)
-	} else {
-		g.enabled[id>>6] &^= 1 << (uint(id) & 63)
+	if g.enabledBit(id) == enabled {
+		return
 	}
-	if !g.dirty {
-		we := inf
-		if enabled {
-			we = g.w[id]
-		}
-		g.arcw[g.slots[2*id]] = we
-		g.arcw[g.slots[2*id+1]] = we
+	g.enabled[id>>6] ^= 1 << (uint(id) & 63)
+	if g.dirty {
+		return
+	}
+	we, d := inf, int32(-1)
+	if enabled {
+		we, d = g.w[id], 1
+	}
+	pu, pv := g.slots[2*id], g.slots[2*id+1]
+	g.arcw[pu] = we
+	g.arcw[pv] = we
+	if u := g.eu[id]; pu >= g.tails[u].start {
+		g.tails[u].on += d
+	}
+	if v := g.ev[id]; pv >= g.tails[v].start {
+		g.tails[v].on += d
 	}
 }
 
@@ -326,6 +402,8 @@ func (g *Graph) Clone() *Graph {
 		arcw:    append([]float64(nil), g.arcw...),
 		slots:   append([]int32(nil), g.slots...),
 		dirty:   g.dirty,
+		pinLo:   g.pinLo,
+		tails:   append([]pinTail(nil), g.tails...),
 	}
 }
 

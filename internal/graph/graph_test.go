@@ -15,6 +15,9 @@ func TestNewGraphEmpty(t *testing.T) {
 	if g.Degree(0) != 0 {
 		t.Fatalf("degree of isolated node = %d", g.Degree(0))
 	}
+	if d := g.Dijkstra(2).Dist; d[2] != 0 || d[0] != Inf() {
+		t.Fatalf("search on an edgeless graph: dist %v", d)
+	}
 }
 
 func TestAddEdgeBasics(t *testing.T) {

@@ -93,6 +93,7 @@ func (g *Graph) multiSource(s *DijkstraScratch, seeds []Seed, stop []NodeID, ov 
 	if ov != nil {
 		price = ov.price
 		blocked = ov.blocked
+		g.markPinNeighbours(s, blocked, ep)
 	}
 	s.heap = s.heap[:0]
 	q := &s.heap
@@ -107,17 +108,6 @@ func (g *Graph) multiSource(s *DijkstraScratch, seeds []Seed, stop []NodeID, ov 
 			s.HeapPushes++
 		}
 	}
-	// invalidate marks everything not settled this run unreachable; shared
-	// by the early-exit paths so tentative labels never escape.
-	invalidate := func() {
-		for v := 0; v < n; v++ {
-			if s.done[v] != ep {
-				t.Dist[v] = inf
-				t.ParentEdge[v] = None
-				t.ParentNode[v] = None
-			}
-		}
-	}
 	for len(*q) > 0 {
 		u := q.pop().node
 		if s.done[u] == ep {
@@ -125,31 +115,39 @@ func (g *Graph) multiSource(s *DijkstraScratch, seeds []Seed, stop []NodeID, ov 
 		}
 		s.done[u] = ep
 		s.Settled++
+		t.settled = append(t.settled, u)
 		if remaining >= 0 && s.stop[u] == ep {
+			// Early exit: finish clears the tentative labels still in the
+			// heap so they never escape.
 			if any {
-				invalidate()
-				return u, t
+				return u, t.finish(*q, s.done, ep)
 			}
 			remaining--
 			if remaining == 0 {
-				invalidate()
-				return None, t
+				return None, t.finish(*q, s.done, ep)
 			}
 		}
 		du := t.Dist[u]
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
+		var hi int32
+		if blocked != nil {
+			hi = g.overlayScanEnd(s, u, ep)
+		} else {
+			hi = g.scanEnd(u)
+		}
+		lo := g.offsets[u]
+		as := g.arcs[lo:hi]
+		ws := g.arcw[lo:hi]
 		ws = ws[:len(as)]
 		for k := range as {
 			to := as[k].To
+			if blocked != nil && blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
+				continue
+			}
 			nd := du + ws[k]
 			if price != nil {
 				nd += price[as[k].ID]
 			}
 			if nd < t.Dist[to] {
-				if blocked != nil && blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-					continue
-				}
 				t.Dist[to] = nd
 				t.ParentEdge[to] = as[k].ID
 				t.ParentNode[to] = u
@@ -162,8 +160,5 @@ func (g *Graph) multiSource(s *DijkstraScratch, seeds []Seed, stop []NodeID, ov 
 			}
 		}
 	}
-	if remaining >= 0 {
-		invalidate()
-	}
-	return None, t
+	return None, t.finish(nil, s.done, ep)
 }

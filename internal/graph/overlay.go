@@ -1,6 +1,10 @@
 package graph
 
-import "fpgarouter/internal/faultpoint"
+import (
+	"math/bits"
+
+	"fpgarouter/internal/faultpoint"
+)
 
 // Overlay layers routing state over a frozen graph without touching it: a
 // per-edge additive price and a per-node blocked bitset. A search run under
@@ -89,6 +93,7 @@ func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, t *SPT, src NodeID, stop
 	}
 	price := ov.price
 	blocked := ov.blocked
+	g.markPinNeighbours(s, blocked, ep)
 	t.Dist[src] = 0
 	s.heap = s.heap[:0]
 	q := &s.heap
@@ -102,30 +107,25 @@ func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, t *SPT, src NodeID, stop
 		}
 		s.done[u] = ep
 		s.Settled++
+		t.settled = append(t.settled, u)
 		if remaining >= 0 && s.stop[u] == ep {
 			remaining--
 			if remaining == 0 {
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
+				return t.finish(*q, s.done, ep)
 			}
 		}
 		du := t.Dist[u]
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
+		lo, hi := g.offsets[u], g.overlayScanEnd(s, u, ep)
+		as := g.arcs[lo:hi]
+		ws := g.arcw[lo:hi]
 		ws = ws[:len(as)]
 		for k := range as {
 			to := as[k].To
+			if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
+				continue
+			}
 			nd := du + ws[k] + price[as[k].ID]
 			if nd < t.Dist[to] {
-				if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-					continue
-				}
 				t.Dist[to] = nd
 				t.ParentEdge[to] = as[k].ID
 				t.ParentNode[to] = u
@@ -134,7 +134,46 @@ func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, t *SPT, src NodeID, stop
 			}
 		}
 	}
-	return t
+	return t.finish(nil, s.done, ep)
+}
+
+// markPinNeighbours opens an overlay search's pin tails (see
+// SetPinBoundary): it stamps ep into s.pinNbr for every node with an arc
+// into an unblocked pin. Every other node's tail arcs all lead into
+// blocked pins, so overlayScanEnd leaves its tail unscanned. The walk
+// reads the pin range's blocked words and the arcs of each unblocked pin:
+// O(pins/64) plus the unblocked pins' degrees, a few hundred steps per
+// search for the pathfinder, which blocks every pin but the net's own.
+func (g *Graph) markPinNeighbours(s *DijkstraScratch, blocked []uint64, ep uint32) {
+	lo := int(g.pinLo)
+	if lo >= g.n {
+		return
+	}
+	for w := lo >> 6; w < len(blocked); w++ {
+		open := ^blocked[w]
+		if w == lo>>6 {
+			open &= ^uint64(0) << (uint(lo) & 63)
+		}
+		for ; open != 0; open &= open - 1 {
+			v := w<<6 + bits.TrailingZeros64(open)
+			if v >= g.n {
+				break
+			}
+			for _, a := range g.arcs[g.offsets[v]:g.offsets[v+1]] {
+				s.pinNbr[a.To] = ep
+			}
+		}
+	}
+}
+
+// overlayScanEnd returns the end of the arcs an overlay search scans out of
+// u: the whole run, or the run minus its pin tail when markPinNeighbours
+// found no unblocked pin beside u.
+func (g *Graph) overlayScanEnd(s *DijkstraScratch, u NodeID, ep uint32) int32 {
+	if s.pinNbr[u] != ep {
+		return g.tails[u].start
+	}
+	return g.offsets[u+1]
 }
 
 // goalDirectedOverlay is goalDirected under an overlay: A* toward the stop
@@ -160,6 +199,7 @@ func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, t *SPT, src NodeID, stop
 	}
 	price := ov.price
 	blocked := ov.blocked
+	g.markPinNeighbours(s, blocked, ep)
 	t.Dist[src] = 0
 	s.heap = s.heap[:0]
 	q := &s.heap
@@ -172,30 +212,25 @@ func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, t *SPT, src NodeID, stop
 		}
 		s.done[u] = ep
 		s.Settled++
+		t.settled = append(t.settled, u)
 		if s.stop[u] == ep {
 			remaining--
 			if remaining == 0 {
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
+				return t.finish(*q, s.done, ep)
 			}
 		}
 		du := t.Dist[u]
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
+		lo, hi := g.offsets[u], g.overlayScanEnd(s, u, ep)
+		as := g.arcs[lo:hi]
+		ws := g.arcw[lo:hi]
 		ws = ws[:len(as)]
 		for k := range as {
 			to := as[k].To
+			if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
+				continue
+			}
 			nd := du + ws[k] + price[as[k].ID]
 			if nd < t.Dist[to] {
-				if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-					continue
-				}
 				t.Dist[to] = nd
 				t.ParentEdge[to] = as[k].ID
 				t.ParentNode[to] = u
@@ -204,7 +239,7 @@ func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, t *SPT, src NodeID, stop
 			}
 		}
 	}
-	return t
+	return t.finish(nil, s.done, ep)
 }
 
 // BiDijkstraOverlay computes one shortest path between src and goal under
@@ -240,6 +275,7 @@ func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Over
 	}()
 	price := ov.price
 	blocked := ov.blocked
+	g.markPinNeighbours(s, blocked, ep)
 	tf.Dist[src] = 0
 	tb.Dist[goal] = 0
 	s.heap = s.heap[:0]
@@ -258,21 +294,23 @@ func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Over
 		}
 		done[u] = ep
 		s.Settled++
+		mine.settled = append(mine.settled, u)
 		du := mine.Dist[u]
 		if c := du + other.Dist[u]; c < best {
 			best = c
 			meet = u
 		}
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
+		lo, hi := g.offsets[u], g.overlayScanEnd(s, u, ep)
+		as := g.arcs[lo:hi]
+		ws := g.arcw[lo:hi]
 		ws = ws[:len(as)]
 		for k := range as {
 			to := as[k].To
+			if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
+				continue
+			}
 			nd := du + ws[k] + price[as[k].ID]
 			if nd < mine.Dist[to] {
-				if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-					continue
-				}
 				mine.Dist[to] = nd
 				mine.ParentEdge[to] = as[k].ID
 				mine.ParentNode[to] = u
@@ -303,13 +341,21 @@ func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Over
 			expand(qb, s.doneB, tb, tf)
 		}
 	}
+	var path []EdgeID
+	if meet != None {
+		path = tf.PathTo(meet)
+		back := tb.PathTo(meet)
+		for i := len(back) - 1; i >= 0; i-- {
+			path = append(path, back[i])
+		}
+	}
+	// Both trees go back to the free list on return; finishing them lets
+	// the next search reset only their settled nodes. meet may be
+	// unsettled, so this waits until its paths are read.
+	tf.finish(*qf, s.done, ep)
+	tb.finish(*qb, s.doneB, ep)
 	if meet == None {
 		return inf, nil, false
-	}
-	path := tf.PathTo(meet)
-	back := tb.PathTo(meet)
-	for i := len(back) - 1; i >= 0; i-- {
-		path = append(path, back[i])
 	}
 	return best, path, true
 }

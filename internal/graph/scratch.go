@@ -27,8 +27,11 @@ type DijkstraScratch struct {
 	heap pq
 	done []uint32 // node → epoch at which it was settled
 	stop []uint32 // node → epoch at which it joined the stop set
-	ep   uint32   // current Dijkstra epoch (done/stop marks)
-	free []*SPT   // recycled shortest-path trees
+	// pinNbr: node → epoch at which an overlay search found it adjacent to
+	// an unblocked pin, so its pin tail may relax (see markPinNeighbours).
+	pinNbr []uint32
+	ep     uint32 // current Dijkstra epoch (done/stop/pinNbr marks)
+	free   []*SPT // recycled shortest-path trees
 
 	// Second frontier for bidirectional search (BiDijkstraOverlay): its
 	// own heap and settled marks, sharing the epoch counter with the
@@ -99,12 +102,13 @@ func DiscardScratch(s *DijkstraScratch) {
 }
 
 // beginRun sizes the mark arrays for an n-node graph and opens a fresh
-// epoch, invalidating all done/stop marks in O(1).
+// epoch, invalidating all done/stop/pinNbr marks in O(1).
 func (s *DijkstraScratch) beginRun(n int) uint32 {
 	if len(s.done) < n {
 		s.done = make([]uint32, n)
 		s.stop = make([]uint32, n)
 		s.doneB = make([]uint32, n)
+		s.pinNbr = make([]uint32, n)
 		s.ep = 0
 	}
 	s.ep++
@@ -112,6 +116,7 @@ func (s *DijkstraScratch) beginRun(n int) uint32 {
 		clear(s.done)
 		clear(s.stop)
 		clear(s.doneB)
+		clear(s.pinNbr)
 		s.ep = 1
 	}
 	s.Runs++
@@ -137,23 +142,60 @@ func (s *DijkstraScratch) takeSPT() *SPT {
 }
 
 // reset sizes t for an n-node graph, growing its buffers only when their
-// capacity falls short, and initializes every label to unreachable.
+// capacity falls short, and initializes every label to unreachable. A tree
+// whose last search finished on a graph of the same size holds labels only
+// at its settled nodes (see finish), so only those are cleared; a fresh
+// buffer, a size change or an unfinished search (a panic mid-run, or a
+// search that keeps no settled list) clears all n.
 func (t *SPT) reset(n int, src NodeID) *SPT {
-	if cap(t.Dist) < n {
+	switch {
+	case cap(t.Dist) < n:
 		t.Dist = make([]float64, n)
 		t.ParentEdge = make([]EdgeID, n)
 		t.ParentNode = make([]NodeID, n)
-	} else {
+		t.clearAll()
+	case len(t.Dist) != n || !t.tidy:
 		t.Dist = t.Dist[:n]
 		t.ParentEdge = t.ParentEdge[:n]
 		t.ParentNode = t.ParentNode[:n]
+		t.clearAll()
+	default:
+		for _, v := range t.settled {
+			t.Dist[v] = inf
+			t.ParentEdge[v] = None
+			t.ParentNode[v] = None
+		}
 	}
 	t.Source = src
-	for i := 0; i < n; i++ {
+	t.settled = t.settled[:0]
+	t.tidy = false
+	return t
+}
+
+// clearAll marks every node unreachable.
+func (t *SPT) clearAll() {
+	for i := range t.Dist {
 		t.Dist[i] = inf
 		t.ParentEdge[i] = None
 		t.ParentNode[i] = None
 	}
+}
+
+// finish ends a search on t whose heap still holds q. Every label write
+// pushes its node, and a node leaves the heap only by being popped, which
+// settles it; so every labelled node not yet settled still has an entry
+// in q. Clearing those entries' labels makes every unsettled node read
+// unreachable in O(|q|) rather than O(n), and leaves labels only at the
+// settled nodes, which is what lets the next reset clear only those.
+func (t *SPT) finish(q pq, done []uint32, ep uint32) *SPT {
+	for _, it := range q {
+		if v := it.node; done[v] != ep {
+			t.Dist[v] = inf
+			t.ParentEdge[v] = None
+			t.ParentNode[v] = None
+		}
+	}
+	t.tidy = true
 	return t
 }
 

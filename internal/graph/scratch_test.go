@@ -40,6 +40,43 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	if s.HeapPushes == 0 || s.Settled == 0 {
 		t.Fatal("work counters did not accumulate")
 	}
+
+	// Recycled trees also move between kernels on a pin graph: each tree
+	// goes back to s and the next search resets it, clearing only the
+	// nodes its last search settled. Every few queries a search panics
+	// midway; its tree, recycled anyway, must get a full reset instead.
+	p := newPinGrid(8, true)
+	s = NewDijkstraScratch()
+	for q := 0; q < 30; q++ {
+		src, goal, stop, seeds, ov := p.randomQuery(rng)
+		for _, kc := range kernelCases(src, goal, stop, seeds, ov, p.Bounds) {
+			reused, fresh := kc.run(p.Graph, s), kc.run(p.Graph, NewDijkstraScratch())
+			if !reused.equal(fresh) {
+				t.Fatalf("query %d: %s on a reused scratch diverged from a fresh one", q, kc.name)
+			}
+			s.RecycleSPT(reused.tree)
+		}
+		if q%3 == 0 {
+			interrupted(p.Graph, s, src, stop, ov)
+		}
+	}
+}
+
+// interrupted runs a goal-directed overlay search on s whose bound panics
+// after a few relaxations, then recycles its half-labelled tree into s.
+func interrupted(g *Graph, s *DijkstraScratch, src NodeID, stop []NodeID, ov *Overlay) {
+	t := s.takeSPT()
+	defer func() {
+		recover()
+		s.RecycleSPT(t)
+	}()
+	calls := 0
+	g.goalDirectedOverlay(s, t, src, stop, ov, func(NodeID) float64 {
+		if calls++; calls > 3 {
+			panic("interrupted search")
+		}
+		return 0
+	})
 }
 
 // TestScratchStopSetMatchesFresh exercises the early-termination path
@@ -84,6 +121,20 @@ func TestScratchAcrossGraphSizes(t *testing.T) {
 		}
 		s.RecycleSPT(got)
 	}
+	// Pin graphs of varying sizes, each searched by every kernel with the
+	// trees recycled into s: a tree finished on one size is reset in full
+	// on the next, then by its settled list while the size holds.
+	for _, seed := range []int64{1, 2, 2, 3, 1, 5} {
+		p := newPinGrid(seed, true)
+		src, goal, stop, seeds, ov := p.randomQuery(rng)
+		for _, kc := range kernelCases(src, goal, stop, seeds, ov, p.Bounds) {
+			got, want := kc.run(p.Graph, s), kc.run(p.Graph, NewDijkstraScratch())
+			if !got.equal(want) {
+				t.Fatalf("pin graph %d (n=%d): %s on a reused scratch diverged", seed, p.NumNodes(), kc.name)
+			}
+			s.RecycleSPT(got.tree)
+		}
+	}
 }
 
 // TestScratchEpochWrap forces the epoch counter to wrap around and checks
@@ -105,6 +156,30 @@ func TestScratchEpochWrap(t *testing.T) {
 	}
 	if s.ep != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", s.ep)
+	}
+
+	// The pin-neighbour marks wrap too. The first overlay search on a fresh
+	// scratch runs at epoch 1 with every pin open, marking every pin
+	// neighbour 1; after the wrap, epoch 1 comes round again, and only the
+	// neighbours of the one pin this search leaves open may carry it.
+	p := newPinGrid(6, true)
+	ov := NewOverlay(p.Graph)
+	s = NewDijkstraScratch()
+	s.RecycleSPT(p.dijkstraOverlayWith(s, s.takeSPT(), 0, nil, ov))
+	open := p.Lo
+	for v := p.Lo + 1; v < NodeID(p.NumNodes()); v++ {
+		ov.Block(v)
+	}
+	s.ep = ^uint32(0)
+	s.RecycleSPT(p.dijkstraOverlayWith(s, s.takeSPT(), 0, nil, ov))
+	nbr := make([]bool, p.NumNodes())
+	for _, a := range p.Adj(open) {
+		nbr[a.To] = true
+	}
+	for v := range nbr {
+		if got := s.pinNbr[v] == s.ep; got != nbr[v] {
+			t.Fatalf("after the wrap node %d reads as a neighbour of an open pin: %v, want %v", v, got, nbr[v])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,7 +102,7 @@ func TestWarmMatchesTree(t *testing.T) {
 				if !ok {
 					t.Fatalf("terminal %d not cached after Warm", v)
 				}
-				if want := ref.Tree(v); !reflect.DeepEqual(got, want) {
+				if want := ref.Tree(v); !sptEqual(got, want) {
 					t.Fatalf("warmed tree rooted at %d differs from Tree's", v)
 				}
 			}
