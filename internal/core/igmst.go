@@ -11,6 +11,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"fpgarouter/internal/graph"
@@ -27,8 +29,9 @@ type Options struct {
 	// Candidates restricts the Steiner-candidate pool. Nil means every node
 	// of the graph (minus net and already-chosen points). The FPGA router
 	// passes a bounding-box pool here, since scanning |V| > 5000 routing
-	// graph nodes per round is needless (Section 3's "factoring out common
-	// computations" discussion).
+	// graph nodes per round is needless. Section 3's "factoring out common
+	// computations" is done by IKMBStats' scans instead: each round does
+	// the work its candidates share once (steiner.KMBRound).
 	Candidates []graph.NodeID
 	// MaxRounds caps the number of accepted Steiner points (0 = unlimited).
 	MaxRounds int
@@ -102,7 +105,7 @@ func IGMST(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, opts 
 // computes the tree of the endpoint it reads from — KMB, SPH and ZEL do
 // (DESIGN.md §5).
 func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, opts Options) (graph.Tree, Stats, error) {
-	return iterate(cache, net, H, nil, opts, true)
+	return iterate(cache, net, H, false, opts, true)
 }
 
 // IKMBStats is IGMSTStats(cache, net, steiner.KMB, opts) with a certified
@@ -111,17 +114,19 @@ func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, 
 // prove that the candidate's tree fails to improve the round's incumbent by
 // more than gainEps, which is what both admission folds require. Screened
 // candidates count in Evaluations and in Screened, and the folds skip them
-// as they skip errors. The first KMB call and batched re-admissions run KMB
-// in full. The tree, every other counter and every cache search are those
-// of the oracle, bit for bit (DESIGN.md §5).
+// as they skip errors. Each scan round evaluates its candidates through one
+// steiner.KMBRound, which checks, spans and expands N ∪ S once for all of
+// them. The first KMB call and batched re-admissions run KMB in full. The
+// tree, every other counter and every cache search are those of the
+// oracle, bit for bit (DESIGN.md §5).
 func IKMBStats(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, Stats, error) {
-	return iterate(cache, net, steiner.KMB, steiner.KMBScreened, opts, true)
+	return iterate(cache, net, steiner.KMB, true, opts, true)
 }
 
 // iterate is the template behind IGMSTStats, IKMBStats and IDOMStats;
-// screen, when non-nil, is H with a certified screen for the exhaustive
-// scans, and warm enables the terminal-tree warm-up.
-func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, screen screenedHeuristic, opts Options, warm bool) (graph.Tree, Stats, error) {
+// screened, for H = steiner.KMB only, evaluates the exhaustive scans
+// through a steiner.KMBRound, and warm enables the terminal-tree warm-up.
+func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, screened bool, opts Options, warm bool) (graph.Tree, Stats, error) {
 	var st Stats
 	// The scanner owns the per-worker forks of the cache (sequential when
 	// Workers resolves to 1). Between fan-outs the cache is mutated freely —
@@ -132,7 +137,7 @@ func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, scr
 	// the candidate scan is skipped entirely.
 	var sc *scanner
 	if len(net) > 2 {
-		sc = newScanner(cache, H, screen, opts)
+		sc = newScanner(cache, H, screened, opts)
 		defer sc.close()
 		if warm {
 			sc.warm(&st, net)
@@ -182,11 +187,8 @@ func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, scr
 					cands = append(cands, cand{ev.t, g})
 				}
 			}
-			sortCands(cands, func(a, b cand) bool {
-				if a.gain != b.gain {
-					return a.gain > b.gain
-				}
-				return a.t < b.t
+			slices.SortFunc(cands, func(a, b cand) int {
+				return cmp.Or(cmp.Compare(b.gain, a.gain), cmp.Compare(a.t, b.t))
 			})
 			for _, c := range cands {
 				sol, err := H(cache, withTerm(&sc.termBuf, spanned, c.t))
@@ -274,18 +276,4 @@ func candidatePool(g *graph.Graph, pool []graph.NodeID) []graph.NodeID {
 		all[i] = graph.NodeID(i)
 	}
 	return all
-}
-
-// sortCands is a tiny insertion-free sort wrapper kept local to avoid
-// importing sort with a closure adapter at every call site.
-func sortCands[T any](s []T, less func(a, b T) bool) {
-	// Simple binary-insertion sort: candidate lists are short (only the
-	// improving candidates of one round).
-	for i := 1; i < len(s); i++ {
-		j := i
-		for j > 0 && less(s[j], s[j-1]) {
-			s[j], s[j-1] = s[j-1], s[j]
-			j--
-		}
-	}
 }

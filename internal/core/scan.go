@@ -45,11 +45,6 @@ type scanEval struct {
 	screened bool
 }
 
-// screenedHeuristic is a base heuristic with a certified screen (see
-// steiner.KMBScreened): it returns H's exact tree, or screened true when
-// H's cost c certainly satisfies fl(best − c) ≤ eps.
-type screenedHeuristic func(cache *graph.SPTCache, net []graph.NodeID, best, eps float64) (graph.Tree, bool, error)
-
 // scanner evaluates the base heuristic over a round's candidate pool,
 // either inline on the shared cache (workers == 1, the regression oracle)
 // or sharded over worker goroutines. Each worker owns a Fork of the cache —
@@ -62,9 +57,11 @@ type screenedHeuristic func(cache *graph.SPTCache, net []graph.NodeID, best, eps
 type scanner struct {
 	cache *graph.SPTCache
 	H     steiner.Heuristic
-	// screen, when non-nil, is H with a certified screen, and scan calls
-	// it instead of H.
-	screen  screenedHeuristic
+	// round, when non-nil, evaluates KMB with its certified screen
+	// (steiner.KMBScreened), and scan calls it instead of H. scan resets
+	// it once per round, on the calling goroutine, before any evaluation;
+	// the workers then only read it.
+	round   *steiner.KMBRound
 	workers int
 	forks   []*graph.SPTCache // per-worker cache views (nil when sequential)
 	bufs    [][]graph.NodeID  // per-worker terminal buffers
@@ -83,8 +80,11 @@ type scanner struct {
 	poisoned []bool
 }
 
-func newScanner(cache *graph.SPTCache, H steiner.Heuristic, screen screenedHeuristic, opts Options) *scanner {
-	s := &scanner{cache: cache, H: H, screen: screen, workers: scanWorkers(opts)}
+func newScanner(cache *graph.SPTCache, H steiner.Heuristic, screened bool, opts Options) *scanner {
+	s := &scanner{cache: cache, H: H, workers: scanWorkers(opts)}
+	if screened {
+		s.round = steiner.AcquireKMBRound()
+	}
 	if s.workers > 1 {
 		s.forks = make([]*graph.SPTCache, s.workers)
 		s.bufs = make([][]graph.NodeID, s.workers)
@@ -102,8 +102,13 @@ func newScanner(cache *graph.SPTCache, H steiner.Heuristic, screen screenedHeuri
 // close releases every worker fork: private trees recycle into the fork's
 // scratch, which then returns to the pool. A fork whose worker panicked
 // mid-evaluation is discarded whole — its scratch may hold a half-built
-// run, and a dropped scratch is cheaper than a poisoned pool.
+// run, and a dropped scratch is cheaper than a poisoned pool. The round
+// returns to its pool too: workers only ever read it.
 func (s *scanner) close() {
+	if s.round != nil {
+		steiner.ReleaseKMBRound(s.round)
+		s.round = nil
+	}
 	for i, f := range s.forks {
 		scr := f.Scratch()
 		if s.poisoned != nil && s.poisoned[i] {
@@ -137,9 +142,13 @@ func withTerm(buf *[]graph.NodeID, spanned []graph.NodeID, t graph.NodeID) []gra
 // outcomes in pool order and accounting the work into st. With a screen, a
 // candidate whose cost provably cannot beat best — the cost of the
 // solution the round's candidates must improve on — by more than gainEps
-// comes back screened instead of with a tree. The returned slice is reused
-// by the next round.
+// comes back screened instead of with a tree; the screened evaluations go
+// through the round context, built here once from spanned. The returned
+// slice is reused by the next round.
 func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]bool, pool []graph.NodeID, best float64) []scanEval {
+	if s.round != nil {
+		s.round.Reset(s.cache, spanned)
+	}
 	s.targets = s.targets[:0]
 	for _, t := range pool {
 		if !inNS[t] {
@@ -184,13 +193,14 @@ func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]
 }
 
 // eval evaluates candidate t, whose terminal list is terms, on cache:
-// through the screen against best when there is one, through H otherwise.
+// through the round's screen against best when there is one, through H
+// otherwise.
 func (s *scanner) eval(cache *graph.SPTCache, terms []graph.NodeID, t graph.NodeID, best float64) scanEval {
-	if s.screen == nil {
+	if s.round == nil {
 		sol, err := s.H(cache, terms)
 		return scanEval{t: t, sol: sol, err: err}
 	}
-	sol, screened, err := s.screen(cache, terms, best, gainEps)
+	sol, screened, err := s.round.KMBScreened(cache, terms, best, gainEps)
 	return scanEval{t, sol, err, screened}
 }
 

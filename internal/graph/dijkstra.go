@@ -48,29 +48,56 @@ func (q *pq) push(it pqItem) {
 	}
 }
 
+// pop removes and returns the root. It is a bottom-up (Floyd) sift: the
+// hole left at the root walks down to a leaf along the smaller child, the
+// left one on ties, moving that child up at every level, and the former
+// last entry x then climbs back from the leaf while its parent's key is
+// ≥ x's. Keys never decrease along the hole's path, so x lands where a
+// top-down sift stops (the first level whose smaller child is not
+// strictly below x), the same entries move, and the array after every pop
+// equals the swap-based sift's (heap_test.go keeps that one as the
+// oracle). The gain is in the comparisons: one per level on the way down,
+// between the two children, and the comparisons against x only on the
+// short climb.
 func (q *pq) pop() pqItem {
 	h := *q
 	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	// Unsigned indices and the two-child window spare most bounds checks.
+	i := uint(0)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].dist < h[small].dist {
-			small = l
-		}
-		if r < len(h) && h[r].dist < h[small].dist {
-			small = r
-		}
-		if small == i {
+		l := 2*i + 1
+		if l+1 >= uint(len(h)) {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+		c := h[l : l+2 : l+2]
+		if c[1].dist < c[0].dist {
+			h[i] = c[1]
+			i = l + 1
+		} else {
+			h[i] = c[0]
+			i = l
+		}
 	}
-	*q = h
+	if l := 2*i + 1; l < uint(len(h)) { // a lone last child
+		h[i] = h[l]
+		i = l
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].dist < x.dist {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
 	return top
 }
 
@@ -202,13 +229,15 @@ func (t *SPT) PathTo(v NodeID) []EdgeID {
 	if t.Dist[v] == inf {
 		return nil
 	}
-	path := t.appendPath([]EdgeID{}, v)
+	path := t.AppendPath([]EdgeID{}, v)
 	slices.Reverse(path)
 	return path
 }
 
-// appendPath appends the tree path's edges to dst in v-to-source order.
-func (t *SPT) appendPath(dst []EdgeID, v NodeID) []EdgeID {
+// AppendPath appends the tree path's edges to dst in v-to-source order
+// and returns the extended slice: nothing for the source or a node the
+// search did not reach.
+func (t *SPT) AppendPath(dst []EdgeID, v NodeID) []EdgeID {
 	for ; t.ParentEdge[v] != None; v = t.ParentNode[v] {
 		dst = append(dst, t.ParentEdge[v])
 	}
@@ -452,6 +481,16 @@ func (c *SPTCache) CachedTree(v NodeID) (*SPT, bool) {
 	return c.lookup(v)
 }
 
+// NumCached returns how many trees lookups through c can find: c's own,
+// plus its base's when c is a fork.
+func (c *SPTCache) NumCached() int {
+	n := len(c.trees)
+	if c.base != nil {
+		n += c.base.NumCached()
+	}
+	return n
+}
+
 // Path returns the edge IDs of one shortest path between u and v (nil if
 // disconnected), preferring whichever endpoint already has a cached tree so
 // that candidate-node evaluations never trigger fresh Dijkstra runs. The
@@ -473,7 +512,7 @@ func (c *SPTCache) AppendPath(dst []EdgeID, u, v NodeID) []EdgeID {
 	if !t.Reachable(x) {
 		return dst
 	}
-	return t.appendPath(dst, x)
+	return t.AppendPath(dst, x)
 }
 
 // pathTree picks the tree Path and AppendPath read, and the node to walk

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -124,5 +125,58 @@ func TestDijkstraWithinSettledCount(t *testing.T) {
 		if spt.Reachable(NodeID(v)) {
 			t.Fatalf("node %d should read unreachable (never settled)", v)
 		}
+	}
+}
+
+// TestTwoPinStopSetParity backs the sequential router's two-pin nets, whose
+// searches stop at the other pin instead of also settling a Steiner pool:
+// on random pin grids with a few pins open, the distance and the path
+// between two pins, read through a cache whose stop set holds only them,
+// are bit-identical to those read through a cache whose stop set also
+// holds a random pool of core nodes, and the search settles no more nodes.
+// A stop
+// set only ends a search; up to the second pin both settle the same nodes
+// in the same order, and every node on its path settles before it.
+func TestTwoPinStopSetParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var fewer int
+	for seed := int64(0); seed < 300; seed++ {
+		p := newPinGrid(seed, seed%2 == 0)
+		p.openPins(rng, 2+rng.Intn(3))
+		var open []NodeID
+		for v := p.Lo; int(v) < p.NumNodes(); v++ {
+			if p.Degree(v) > 0 {
+				open = append(open, v)
+			}
+		}
+		pick := func() NodeID {
+			if len(open) > 0 && rng.Intn(4) > 0 {
+				return open[rng.Intn(len(open))]
+			}
+			return NodeID(rng.Intn(p.NumNodes()))
+		}
+		src, dst := pick(), pick()
+		pair := []NodeID{src, dst}
+		stop := append([]NodeID(nil), pair...)
+		for k := 1 + rng.Intn(int(p.Lo)); k > 0; k-- {
+			stop = append(stop, NodeID(rng.Intn(int(p.Lo))))
+		}
+		narrow := NewSPTCacheWithin(p.Graph, pair).WithScratch(NewDijkstraScratch())
+		wide := NewSPTCacheWithin(p.Graph, stop).WithScratch(NewDijkstraScratch())
+		nd, wd := narrow.Dist(src, dst), wide.Dist(src, dst)
+		np, wp := narrow.Path(src, dst), wide.Path(src, dst)
+		if math.Float64bits(nd) != math.Float64bits(wd) || !slices.Equal(np, wp) {
+			t.Fatalf("seed %d, %d→%d: pair-only stop set gives %v %v, with a pool %v %v", seed, src, dst, nd, np, wd, wp)
+		}
+		ns, ws := narrow.Scratch().Settled, wide.Scratch().Settled
+		if ns > ws {
+			t.Fatalf("seed %d: the pair-only search settled %d nodes, the pool search %d", seed, ns, ws)
+		}
+		if ns < ws {
+			fewer++
+		}
+	}
+	if fewer == 0 {
+		t.Fatal("the pair-only search never settled fewer nodes")
 	}
 }

@@ -481,7 +481,13 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 	switch opts.Algorithm {
 	case AlgKMB, AlgDJKA, AlgDOM:
 		needsPool = false
-	case AlgSPH, AlgZEL, AlgPFA, AlgIKMB, AlgISPH, AlgIZEL, AlgIDOM:
+	case AlgIKMB:
+		// IKMB scans no candidate for a net of at most two pins
+		// (core.IKMBStats), so its one search may stop at the other pin:
+		// a stop set only ends a search, and the path to the second pin
+		// settles before it, so the route is the same.
+		needsPool = len(net.Pins) > 2
+	case AlgSPH, AlgZEL, AlgPFA, AlgISPH, AlgIZEL, AlgIDOM:
 		needsPool = true
 	default:
 		return graph.Tree{}, fmt.Errorf("router: unknown algorithm %q", opts.Algorithm)

@@ -12,9 +12,10 @@ import (
 // evaluation: on a warm cache, one KMB call for six terminals plus a
 // Steiner candidate — the call the IGMST scan makes per candidate —
 // allocates only the edge slice of the tree it returns, and the same call
-// screened out by KMBScreened allocates nothing. Every working slice lives
-// on the cache's scratch, so this holds under -race too (no sync.Pool on
-// the path). Covered: a plain cache, an overlay-priced cache (the
+// screened out by KMBScreened allocates nothing; both calls keep those
+// ceilings through the scan's per-round context (KMBRound). Every working
+// slice lives on the cache's scratch, so this holds under -race too (no
+// sync.Pool on the path). Covered: a plain cache, an overlay-priced cache (the
 // pathfinder's) and a scan-worker fork.
 func TestKMBAllocsWarmCache(t *testing.T) {
 	grid := graph.NewGrid(12, 12, 1)
@@ -76,6 +77,22 @@ func TestKMBAllocsWarmCache(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Fatalf("a screened-out KMBScreened call made %.0f allocations, want 0", allocs)
+			}
+			// The scan's per-round context keeps both ceilings.
+			r := AcquireKMBRound()
+			defer ReleaseKMBRound(r)
+			r.Reset(cache, terms)
+			allocs = testing.AllocsPerRun(50, func() {
+				_, screened, err = r.KMBScreened(cache, net, want.Cost, 1e-9)
+			})
+			if err != nil || !screened || allocs != 0 {
+				t.Fatalf("KMBRound against its own cost: screened %v, err %v, %.0f allocations, want 0", screened, err, allocs)
+			}
+			allocs = testing.AllocsPerRun(50, func() {
+				got, _, err = r.KMBScreened(cache, net, graph.Inf(), 1e-9)
+			})
+			if err != nil || got.Cost != want.Cost || !slices.Equal(got.Edges, want.Edges) || allocs > 1 {
+				t.Fatalf("KMBRound = %v (cost %v, err %v) in %.0f allocations, want %v (cost %v) in ≤ 1", got.Edges, got.Cost, err, allocs, want.Edges, want.Cost)
 			}
 		})
 	}

@@ -39,13 +39,13 @@ func CheckNet(cache *graph.SPTCache, net []graph.NodeID) error {
 	n := cache.Graph().NumNodes()
 	for _, v := range net {
 		if v < 0 || int(v) >= n {
-			return fmt.Errorf("steiner: pin %d out of range", v)
+			return errPinRange(v)
 		}
 	}
 	seen := cache.NodeSet()
 	for _, v := range net {
 		if !seen.Add(v) {
-			return fmt.Errorf("steiner: duplicate pin %d", v)
+			return errDuplicatePin(v)
 		}
 	}
 	t := cache.Tree(net[0])
@@ -56,6 +56,10 @@ func CheckNet(cache *graph.SPTCache, net []graph.NodeID) error {
 	}
 	return nil
 }
+
+func errPinRange(v graph.NodeID) error { return fmt.Errorf("steiner: pin %d out of range", v) }
+
+func errDuplicatePin(v graph.NodeID) error { return fmt.Errorf("steiner: duplicate pin %d", v) }
 
 // DistanceGraph is the complete graph G' over a node subset whose edge
 // weights are shortest-path distances in the underlying graph (the first
