@@ -6,6 +6,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,15 +27,29 @@ import (
 	"fpgarouter/internal/stats"
 )
 
+// benchRuns is how many times a full -bench-json run times every entry,
+// in round-robin order (every entry once, then every entry again, ...), so
+// that machine drift over the run spreads across all entries instead of
+// landing on whichever ran during it. -bench-quick times each entry once.
+const benchRuns = 5
+
 // BenchResult is one benchmark's outcome in the emitted JSON file.
 // GoMaxProcs is recorded per entry — not just in the file header — because
 // the parallel benchmarks' numbers are meaningless without the hardware
 // parallelism they ran under, and entries from different runs get merged
 // into comparison sheets.
+//
+// NsPerOp is the median over the entry's Runs timings, and NsPerOpMin and
+// NsPerOpMax their spread; Iterations, AllocsPerOp and BytesPerOp come from
+// the median run. A cross-commit change in NsPerOp smaller than either
+// side's spread does not separate the commits.
 type BenchResult struct {
 	Name        string  `json:"name"`
+	Runs        int     `json:"runs"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min"`
+	NsPerOpMax  float64 `json:"ns_per_op_max"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	GoMaxProcs  int     `json:"gomaxprocs"`
@@ -117,8 +133,9 @@ func scanInstance(seed int64) (*graph.Graph, []graph.NodeID) {
 	return g, graph.RandomNet(rng, g, 12)
 }
 
-// writeBenchJSON runs the tracked micro-benchmarks and writes path. quick
-// skips the whole-circuit benchmarks (minimum-width searches and full busc
+// writeBenchJSON runs the tracked micro-benchmarks benchRuns times each,
+// round-robin, and writes path. quick times each entry once and skips the
+// whole-circuit benchmarks (minimum-width searches and full busc and z03
 // routes), leaving a CI-smoke-sized subset that still exercises the pooled
 // cache and the parallel candidate scan.
 func writeBenchJSON(path string, quick bool) error {
@@ -329,9 +346,12 @@ func writeBenchJSON(path string, quick bool) error {
 		}
 		return int64(res.Passes)
 	}
+	// A bench is timed by testing.Benchmark over fn, or, when hand is set,
+	// by one call of hand, which returns its own result.
 	type bench struct {
 		name   string
 		fn     func(b *testing.B)
+		hand   func() (BenchResult, error)
 		work   func() int64
 		expand func() int64
 		iters  func() int64
@@ -387,6 +407,44 @@ func writeBenchJSON(path string, quick bool) error {
 				}
 			}},
 		)
+		// The z03 stress case is the hardest paper circuit: far too slow for
+		// testing.Benchmark's auto-scaling, and the engine is deterministic,
+		// so one hand-timed route is one timing. runtime.MemStats deltas
+		// around the run give its allocation counts, which testing.Benchmark
+		// would otherwise report, and a stats collector supplies the rip-up
+		// provenance.
+		z03spec, ok := circuits.SpecByName("z03")
+		if !ok {
+			return fmt.Errorf("bench-json: circuit z03 not registered")
+		}
+		z03, err := circuits.Synthesize(z03spec, 1)
+		if err != nil {
+			return err
+		}
+		benches = append(benches, bench{name: "BenchmarkRouteZ03ParallelIncremental", hand: func() (BenchResult, error) {
+			col := stats.New()
+			rctx := router.NewContext(col)
+			defer rctx.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			res, err := router.RouteCtx(rctx, z03, z03spec.PaperIKMB, router.Options{Parallel: true})
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				return BenchResult{}, err
+			}
+			snap := col.Snapshot()
+			return BenchResult{
+				Iterations:         1,
+				NsPerOp:            float64(elapsed.Nanoseconds()),
+				AllocsPerOp:        int64(after.Mallocs - before.Mallocs),
+				BytesPerOp:         int64(after.TotalAlloc - before.TotalAlloc),
+				IterationsPerOp:    int64(res.Passes),
+				EdgesRippedPerOp:   snap.EdgesRipped,
+				EdgesRetainedPerOp: snap.EdgesRetained,
+			}, nil
+		}})
 	}
 	// Warm-up. The first testing.Benchmark in a fresh process measures a few
 	// percent slow: the GC heap is still growing toward its steady state, so
@@ -400,23 +458,45 @@ func writeBenchJSON(path string, quick bool) error {
 			return err
 		}
 	}
+	runs := benchRuns
+	if quick {
+		runs = 1
+	}
+	timed := make([][]BenchResult, len(benches))
+	for r := 1; r <= runs; r++ {
+		for i, bench := range benches {
+			fmt.Fprintf(os.Stderr, "bench-json: run %d/%d: %s\n", r, runs, bench.name)
+			if bench.hand != nil {
+				res, err := bench.hand()
+				if err != nil {
+					return fmt.Errorf("%s: %w", bench.name, err)
+				}
+				timed[i] = append(timed[i], res)
+				continue
+			}
+			b := testing.Benchmark(bench.fn)
+			timed[i] = append(timed[i], BenchResult{
+				Iterations:  b.N,
+				NsPerOp:     float64(b.T.Nanoseconds()) / float64(b.N),
+				AllocsPerOp: b.AllocsPerOp(),
+				BytesPerOp:  b.AllocedBytesPerOp(),
+			})
+		}
+	}
 	out := benchFile{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GitCommit:   gitCommit(),
 		GoVersion:   runtime.Version(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
-	for _, bench := range benches {
-		fmt.Fprintf(os.Stderr, "bench-json: running %s\n", bench.name)
-		r := testing.Benchmark(bench.fn)
-		res := BenchResult{
-			Name:        bench.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			GoMaxProcs:  runtime.GOMAXPROCS(0),
-		}
+	for i, bench := range benches {
+		ts := timed[i]
+		slices.SortFunc(ts, func(a, b BenchResult) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		res := ts[len(ts)/2]
+		res.Name = bench.name
+		res.Runs = len(ts)
+		res.NsPerOpMin, res.NsPerOpMax = ts[0].NsPerOp, ts[len(ts)-1].NsPerOp
+		res.GoMaxProcs = runtime.GOMAXPROCS(0)
 		if bench.work != nil {
 			res.EvalsPerOp = bench.work()
 		}
@@ -427,48 +507,6 @@ func writeBenchJSON(path string, quick bool) error {
 			res.IterationsPerOp = bench.iters()
 		}
 		out.Results = append(out.Results, res)
-	}
-	if !quick {
-		// The z03 stress case is the hardest paper circuit: far too slow for
-		// testing.Benchmark's auto-scaling, and the engine is deterministic,
-		// so one hand-timed run is the benchmark. runtime.MemStats deltas
-		// around the run give its allocation counts, which testing.Benchmark
-		// would otherwise report, and a stats collector supplies the rip-up
-		// provenance.
-		z03spec, ok := circuits.SpecByName("z03")
-		if !ok {
-			return fmt.Errorf("bench-json: circuit z03 not registered")
-		}
-		z03, err := circuits.Synthesize(z03spec, 1)
-		if err != nil {
-			return err
-		}
-		const name = "BenchmarkRouteZ03ParallelIncremental"
-		fmt.Fprintf(os.Stderr, "bench-json: running %s (single hand-timed run)\n", name)
-		col := stats.New()
-		rctx := router.NewContext(col)
-		defer rctx.Close()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		res, err := router.RouteCtx(rctx, z03, z03spec.PaperIKMB, router.Options{Parallel: true})
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		snap := col.Snapshot()
-		out.Results = append(out.Results, BenchResult{
-			Name:               name,
-			Iterations:         1,
-			NsPerOp:            float64(elapsed.Nanoseconds()),
-			AllocsPerOp:        int64(after.Mallocs - before.Mallocs),
-			BytesPerOp:         int64(after.TotalAlloc - before.TotalAlloc),
-			GoMaxProcs:         runtime.GOMAXPROCS(0),
-			IterationsPerOp:    int64(res.Passes),
-			EdgesRippedPerOp:   snap.EdgesRipped,
-			EdgesRetainedPerOp: snap.EdgesRetained,
-		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -12,6 +12,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -116,11 +117,37 @@ func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, 
 // candidates count in Evaluations and in Screened, and the folds skip them
 // as they skip errors. Each scan round evaluates its candidates through one
 // steiner.KMBRound, which checks, spans and expands N ∪ S once for all of
-// them. The first KMB call and batched re-admissions run KMB in full. The
-// tree, every other counter and every cache search are those of the
-// oracle, bit for bit (DESIGN.md §5).
+// them. The first KMB call and batched re-admissions run KMB in full.
+//
+// On a cache without an overlay, where a tree's cost and the searches'
+// distances are the same base-weight sums, no search settles a node
+// farther from its root than the incumbent's cost, plus a rounding margin
+// (searchRadius): a tree spanning a candidate costs at least the distance
+// from every spanned node to it, so a farther candidate cannot improve.
+// The terminals' searches pause once the terminals are settled, and
+// resume under the first KMB tree's radius; each admitted Steiner point
+// is searched under the radius of the incumbent it joins. Trees the
+// radius cut short are dropped from the cache on return.
+//
+// The tree and every counter but Screened (a far candidate now fails
+// KMB's reachability check instead) and the heap pushes are those of the
+// oracle, bit for bit, and so are the SSSP runs (DESIGN.md §5).
 func IKMBStats(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, Stats, error) {
 	return iterate(cache, net, steiner.KMB, true, opts, true)
+}
+
+// searchRadius returns the key radius under which an n-node graph's
+// searches still read, exactly, every distance and path that an
+// evaluation able to beat an incumbent of cost best reads: best grown by
+// n·2⁻⁵⁰ of itself, which covers the rounding of the two sums it compares
+// (a Dijkstra label and a tree's cost, each of fewer than n terms) about
+// 4× over. It is +Inf, no bound, for n ≥ 2²⁰ or a non-finite best
+// (DESIGN.md §5).
+func searchRadius(best float64, n int) float64 {
+	if n >= 1<<20 || !(best <= math.MaxFloat64) {
+		return math.Inf(1)
+	}
+	return best * (1 + float64(n)*0x1p-50)
 }
 
 // iterate is the template behind IGMSTStats, IKMBStats and IDOMStats;
@@ -128,6 +155,9 @@ func IKMBStats(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.T
 // through a steiner.KMBRound, and warm enables the terminal-tree warm-up.
 func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, screened bool, opts Options, warm bool) (graph.Tree, Stats, error) {
 	var st Stats
+	// bounded: IKMB on a cache whose trees cost what its searches measure
+	// stops every search at the incumbent's radius (see IKMBStats).
+	bounded := screened && len(net) > 2 && cache.Overlay() == nil
 	// The scanner owns the per-worker forks of the cache (sequential when
 	// Workers resolves to 1). Between fan-outs the cache is mutated freely —
 	// admissions cache new established trees — because the forks are only
@@ -139,8 +169,13 @@ func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, scr
 	if len(net) > 2 {
 		sc = newScanner(cache, H, screened, opts)
 		defer sc.close()
+		if bounded {
+			// On return, drop the trees the radius cut short, and any
+			// tree still paused after an error.
+			defer cache.SetRadius(math.Inf(1))
+		}
 		if warm {
-			sc.warm(&st, net)
+			sc.warm(&st, net, bounded)
 		}
 	}
 	best, err := H(cache, net)
@@ -148,6 +183,18 @@ func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, scr
 		return graph.Tree{}, st, err
 	}
 	st.Evaluations++
+	// bound sets the radius of the incumbent best for the searches to come.
+	bound := func() {
+		if bounded {
+			cache.SetRadius(searchRadius(best.Cost, cache.Graph().NumNodes()))
+		}
+	}
+	if bounded {
+		// The first KMB read only terminal distances and paths, all
+		// settled before the pause; the searches now run on to the radius.
+		bound()
+		sc.resume(&st, net)
+	}
 	if sc == nil {
 		return best, st, nil
 	}
@@ -199,8 +246,9 @@ func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, scr
 				if best.Cost-sol.Cost > gainEps {
 					spanned = append(spanned, c.t)
 					inNS[c.t] = true
-					cache.Tree(c.t) // keep every established node cached
 					best = sol
+					bound()
+					cache.Tree(c.t) // keep every established node cached
 					st.PointsChosen++
 					admitted = true
 					if opts.MaxRounds > 0 && st.PointsChosen >= int64(opts.MaxRounds) {
@@ -232,8 +280,9 @@ func iterate(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, scr
 			}
 			spanned = append(spanned, bestT)
 			inNS[bestT] = true
-			cache.Tree(bestT) // keep every established node cached
 			best = bestSol
+			bound()
+			cache.Tree(bestT) // keep every established node cached
 			st.PointsChosen++
 			if opts.MaxRounds > 0 && st.PointsChosen >= int64(opts.MaxRounds) {
 				return best, st, nil

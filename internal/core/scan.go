@@ -217,15 +217,43 @@ func (st *Stats) countScreened(evals []scanEval) {
 // lacks before the first base-heuristic call, concurrently on the worker
 // forks' scratches (graph.SPTCache.Warm), and accounts the searches into
 // st's worker counters. Sequential scanners leave the trees to the base
-// heuristic, as before. The warmed trees are the ones the template computes
-// anyway, only earlier: the force-cache loop after the first H call roots
-// a tree at every terminal. DESIGN.md §5 shows why the distances KMB, SPH
-// and ZEL read keep every bit, and why IDOMStats does not warm.
-func (s *scanner) warm(st *Stats, net []graph.NodeID) {
-	if s.workers == 1 {
-		return
+// heuristic, as before, unless pause is set. The warmed trees are the ones
+// the template computes anyway, only earlier: the force-cache loop after
+// the first H call roots a tree at every terminal. DESIGN.md §5 shows why
+// the distances KMB, SPH and ZEL read keep every bit, and why IDOMStats
+// does not warm.
+//
+// With pause, the searches pause once every terminal is settled
+// (graph.SPTCache.WarmPaused), inline on the cache's own scratch when
+// sequential, and resume picks them up after the first H call.
+func (s *scanner) warm(st *Stats, net []graph.NodeID, pause bool) {
+	switch {
+	case pause:
+		s.cache.WarmPaused(net, s.runner(st))
+	case s.workers > 1:
+		s.cache.Warm(net, s.runner(st))
 	}
-	s.cache.Warm(net, func(n int, fill func(int, *graph.DijkstraScratch)) {
+}
+
+// resume continues the searches warm paused, under the cache's radius,
+// on the same goroutines warm used (graph.SPTCache.Resume).
+func (s *scanner) resume(st *Stats, net []graph.NodeID) {
+	s.cache.Resume(net, s.runner(st))
+}
+
+// runner returns the run function of graph.SPTCache.Warm and Resume: fill
+// runs inline on the cache's scratch when the scanner is sequential, and
+// otherwise on the fan-out, each worker pulling tree indices off a shared
+// cursor with its fork's scratch.
+func (s *scanner) runner(st *Stats) func(n int, fill func(int, *graph.DijkstraScratch)) {
+	return func(n int, fill func(int, *graph.DijkstraScratch)) {
+		if s.workers == 1 {
+			scr := s.cache.Scratch()
+			for i := range n {
+				fill(i, scr)
+			}
+			return
+		}
 		var next atomic.Int64
 		s.fanOut(st, min(s.workers, n), func(k int) {
 			scr := s.forks[k].Scratch()
@@ -233,7 +261,7 @@ func (s *scanner) warm(st *Stats, net []graph.NodeID) {
 				fill(i, scr)
 			}
 		})
-	})
+	}
 }
 
 // fanOut runs body(k) for every k in [0, w) on its own goroutine, worker

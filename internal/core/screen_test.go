@@ -110,16 +110,20 @@ func oracle(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree
 	return IGMSTStats(cache, net, steiner.KMB, opts)
 }
 
-// TestIKMBScreenParity pins the screen's identity contract: IKMBStats
-// returns the tree of the unscreened oracle IGMSTStats(…, steiner.KMB, …)
-// bit for bit, with the same Stats apart from Screened (itself the same at
-// every worker count) and the same SSSP work, at Workers 1, 2 and 4, in
-// batched and single-step admission — on
-// random grids and on every multi-pin net of the router's tiny circuits,
-// plain and overlay-priced. The screen must engage somewhere.
+// TestIKMBScreenParity pins IKMBStats' identity contract against the
+// unscreened oracle IGMSTStats(…, steiner.KMB, …), at Workers 1, 2 and 4,
+// in batched and single-step admission, on random grids and on every
+// multi-pin net of the router's tiny circuits, plain and overlay-priced:
+// the same tree bit for bit; the same Stats apart from Screened, itself the
+// same at every worker count; the same SSSP runs, on the caller's scratch
+// and on the workers'. Heap pushes are the oracle's on priced caches and
+// at most the oracle's on plain ones, whose searches stop at the
+// incumbent's radius. The screen and the radius must each engage
+// somewhere.
 func TestIKMBScreenParity(t *testing.T) {
-	var screened int64
+	var screened, bounded int64
 	for c := range screenCases(t) {
+		priced := c.newCache().Overlay() != nil
 		for _, batched := range []bool{false, true} {
 			var serial int64
 			for _, workers := range []int{1, 2, 4} {
@@ -139,14 +143,31 @@ func TestIKMBScreenParity(t *testing.T) {
 					t.Fatalf("%s %+v: %d screened, %d at one worker", c.name, opts, got.Screened, serial)
 				}
 				got.Screened = 0
+				pushes, wantPushes := got.Pushes+got.WorkerHeapPushes, want.Pushes+want.WorkerHeapPushes
+				if priced {
+					if got != want {
+						t.Fatalf("%s %+v: stats %+v, oracle %+v", c.name, opts, got, want)
+					}
+					continue
+				}
+				if pushes > wantPushes {
+					t.Fatalf("%s %+v: %d heap pushes, oracle %d", c.name, opts, pushes, wantPushes)
+				}
+				if workers == 1 && pushes < wantPushes {
+					bounded++
+				}
+				got.Pushes, got.WorkerHeapPushes, want.Pushes, want.WorkerHeapPushes = 0, 0, 0, 0
 				if got != want {
 					t.Fatalf("%s %+v: stats %+v, oracle %+v", c.name, opts, got, want)
 				}
 			}
 		}
 	}
-	t.Logf("%d evaluations screened out", screened)
+	t.Logf("%d evaluations screened out; the radius saved heap pushes in %d constructions", screened, bounded)
 	if screened == 0 {
 		t.Fatal("the screen never engaged")
+	}
+	if bounded == 0 {
+		t.Fatal("the radius never engaged")
 	}
 }

@@ -23,6 +23,16 @@ type SPT struct {
 	// (see reset and finish).
 	settled []NodeID
 	tidy    bool
+	// paused reports a plain search stopped between two pops once its
+	// pause set was settled (SPTCache.WarmPaused): heap holds its queue,
+	// and the labels of the nodes it has reached but not settled are
+	// tentative until resume continues it.
+	paused bool
+	heap   pq
+	// radius is the key radius that cut the search short, or +Inf when
+	// nothing did: the tree is exact at every node no farther than radius
+	// from Source (see SPTCache.SetRadius).
+	radius float64
 }
 
 // pqItem is an entry in the Dijkstra priority queue. The queue is a plain
@@ -146,38 +156,84 @@ func (g *Graph) DijkstraWithinScratch(s *DijkstraScratch, src NodeID, stop []Nod
 // counters bit-identical to the pre-CSR adjacency-list implementation
 // (LegacyDijkstra, retained as the parity oracle).
 func (g *Graph) dijkstraWith(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
-	return g.dijkstraInto(s, s.takeSPT(), src, stop)
+	return g.dijkstraInto(s, s.takeSPT(), src, stop, nil, inf)
 }
 
 // dijkstraInto is dijkstraWith writing into t, whose buffers it resizes
 // and reinitializes; the searches below take their tree the same way, so
 // a cache can run them on another goroutine's scratch (SPTCache.Warm).
-func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop []NodeID) *SPT {
+// A non-nil pause set pauses the search as soon as every node of it in
+// the graph is settled, and radius bounds it by key (see settle).
+func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop, pause []NodeID, radius float64) *SPT {
 	faultpoint.Check(faultpoint.SSSPExpand)
 	g.ensureCSR()
 	n := g.n
 	ep := s.beginRun(n)
 	t.reset(n, src)
-	remaining := -1 // < 0: no early termination
-	if stop != nil {
-		remaining = 0
-		for _, v := range stop {
-			if s.stop[v] != ep {
-				s.stop[v] = ep
-				remaining++
+	remaining := s.markStop(stop, src, ep)
+	pauseLeft := -1 // < 0: never pause
+	if pause != nil {
+		pauseLeft = 0
+		for _, v := range pause {
+			if v >= 0 && int(v) < n && s.pause[v] != ep {
+				s.pause[v] = ep
+				pauseLeft++
 			}
-		}
-		if s.stop[src] != ep {
-			s.stop[src] = ep
-			remaining++
 		}
 	}
 	t.Dist[src] = 0
 	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{0, src})
+	s.heap.push(pqItem{0, src})
 	s.HeapPushes++
+	return g.settle(s, t, ep, remaining, pauseLeft, radius)
+}
+
+// resume continues t's paused search on s, which need not be the scratch
+// it started on: the queue and labels live in t, and resume re-stamps the
+// settled and stop marks in a fresh epoch of s. It opens no new run (Runs
+// stays), and from there on it is the same loop, so the pops, labels and
+// HeapPushes are those the search would have made without the pause. The
+// resumed search is no longer pausable; radius bounds it as in settle.
+func (g *Graph) resume(s *DijkstraScratch, t *SPT, stop []NodeID, radius float64) *SPT {
+	ep := s.openEpoch(g.n)
+	remaining := s.markStop(stop, t.Source, ep)
+	for _, v := range t.settled {
+		s.done[v] = ep
+		if remaining > 0 && s.stop[v] == ep {
+			remaining--
+		}
+	}
+	s.heap = append(s.heap[:0], t.heap...)
+	t.heap = t.heap[:0]
+	t.paused = false
+	return g.settle(s, t, ep, remaining, -1, radius)
+}
+
+// settle is the one loop behind fresh and resumed plain searches: it pops
+// s.heap until the stop set is settled (remaining reaches 0; < 0 means no
+// stop set) or the heap empties. Two more rules end it early, between two
+// pops and so without changing any pop before them:
+//   - pause: once pauseLeft pause-set nodes have settled (< 0: never), the
+//     queue moves into t and t is left paused, its unsettled labels intact;
+//   - radius: once the smallest key left exceeds radius, the search
+//     finishes as if the heap were empty, and t records radius. Keys pop
+//     in non-decreasing order, so every later pop of the uninterrupted
+//     search would have settled a node farther than radius.
+//
+// The relaxation loop streams the CSR arc and weight arrays (see
+// dijkstraWith).
+func (g *Graph) settle(s *DijkstraScratch, t *SPT, ep uint32, remaining, pauseLeft int, radius float64) *SPT {
+	q := &s.heap
 	for len(*q) > 0 {
+		if pauseLeft == 0 {
+			t.heap = append(t.heap[:0], *q...)
+			t.paused = true
+			return t
+		}
+		if (*q)[0].dist > radius {
+			t.radius = radius
+			break
+		}
 		it := q.pop()
 		u := it.node
 		if s.done[u] == ep {
@@ -194,6 +250,9 @@ func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop []Node
 				// rather than carrying half-relaxed distances.
 				return t.finish(*q, s.done, ep)
 			}
+		}
+		if pauseLeft > 0 && s.pause[u] == ep {
+			pauseLeft--
 		}
 		du := t.Dist[u]
 		// No settled check per arc: a settled node's distance is final and
@@ -219,7 +278,7 @@ func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop []Node
 			}
 		}
 	}
-	return t.finish(nil, s.done, ep)
+	return t.finish(*q, s.done, ep)
 }
 
 // PathTo returns the edge IDs of the tree path from the source to v, in
@@ -283,13 +342,16 @@ type SPTCache struct {
 	// constructions sorting by weight see the same effective costs the
 	// searches did. The overlay must stay quiescent while the cache is live.
 	overlay *Overlay
+	// radius bounds plain searches by key (SetRadius); +Inf by default.
+	// A fork searches under its base's radius.
+	radius float64
 	// Runs counts actual Dijkstra executions, exposed for ablation benches.
 	Runs int
 }
 
 // NewSPTCache returns an empty cache over g.
 func NewSPTCache(g *Graph) *SPTCache {
-	return &SPTCache{g: g, trees: make(map[NodeID]*SPT)}
+	return &SPTCache{g: g, trees: make(map[NodeID]*SPT), radius: inf}
 }
 
 // NewSPTCacheWithin returns a cache whose trees are computed with
@@ -297,7 +359,7 @@ func NewSPTCache(g *Graph) *SPTCache {
 // beyond. Callers must only query distances/paths to nodes of stop (the
 // router queries a net's pins plus its Steiner-candidate pool).
 func NewSPTCacheWithin(g *Graph, stop []NodeID) *SPTCache {
-	return &SPTCache{g: g, trees: make(map[NodeID]*SPT), stop: stop}
+	return &SPTCache{g: g, trees: make(map[NodeID]*SPT), stop: stop, radius: inf}
 }
 
 // WithScratch backs the cache with an externally owned scratch (the routing
@@ -345,7 +407,38 @@ func (c *SPTCache) WithOverlay(ov *Overlay) *SPTCache {
 // live. Release the fork — recycling its private trees into s — before
 // returning s to the pool; the base's trees are never recycled by a fork.
 func (c *SPTCache) Fork(s *DijkstraScratch) *SPTCache {
-	return &SPTCache{g: c.g, trees: make(map[NodeID]*SPT), stop: c.stop, scratch: s, base: c, bounds: c.bounds, overlay: c.overlay}
+	return &SPTCache{g: c.g, trees: make(map[NodeID]*SPT), stop: c.stop, scratch: s, base: c, bounds: c.bounds, overlay: c.overlay, radius: inf}
+}
+
+// SetRadius bounds the cache's plain searches by key: a later miss, and
+// a Resume, stops once the smallest key left in its heap exceeds r. The
+// pops up to there are the unbounded search's, so the tree holds the
+// unbounded tree's labels and parents at every node within r of its root
+// and reads unreachable beyond. r = +Inf, the default, removes the bound.
+// Lowering the radius keeps every cached tree; raising it drops every tree
+// a smaller radius cut short, and every paused tree, so a lookup never
+// returns a tree that is not exact within the cache's radius. Searches
+// under an overlay or bounds ignore the radius. Forks search under their
+// base's current radius, so set it only while no fork is searching.
+func (c *SPTCache) SetRadius(r float64) {
+	if r > c.radius {
+		for v, t := range c.trees {
+			if t.paused || t.radius < r {
+				delete(c.trees, v)
+				c.scratch.RecycleSPT(t)
+			}
+		}
+	}
+	c.radius = r
+}
+
+// keyRadius returns the radius the cache's searches run under: its own,
+// or its base's for a fork.
+func (c *SPTCache) keyRadius() float64 {
+	if c.base != nil {
+		return c.base.keyRadius()
+	}
+	return c.radius
 }
 
 // lookup returns the cached tree rooted at v, consulting the fork's private
@@ -396,14 +489,16 @@ func (c *SPTCache) Tree(src NodeID) *SPT {
 		return t
 	}
 	s := c.Scratch()
-	t := c.search(s, s.takeSPT(), src)
+	t := c.search(s, s.takeSPT(), src, nil)
 	c.trees[src] = t
 	c.Runs++
 	return t
 }
 
-// search runs the cache's configured search from src on scratch s, into t.
-func (c *SPTCache) search(s *DijkstraScratch, t *SPT, src NodeID) *SPT {
+// search runs the cache's configured search from src on scratch s, into
+// t. Only the plain search pauses at pause (when non-nil) and honours the
+// radius.
+func (c *SPTCache) search(s *DijkstraScratch, t *SPT, src NodeID, pause []NodeID) *SPT {
 	switch {
 	case c.overlay != nil && c.bounds != nil && c.stop != nil:
 		return c.g.goalDirectedOverlay(s, t, src, c.stop, c.overlay, c.bounds.ToSet(c.stop))
@@ -412,7 +507,7 @@ func (c *SPTCache) search(s *DijkstraScratch, t *SPT, src NodeID) *SPT {
 	case c.bounds != nil && c.stop != nil:
 		return c.g.goalDirected(s, t, src, c.stop, c.bounds.ToSet(c.stop))
 	default:
-		return c.g.dijkstraInto(s, t, src, c.stop)
+		return c.g.dijkstraInto(s, t, src, c.stop, pause, c.keyRadius())
 	}
 }
 
@@ -436,6 +531,22 @@ func (c *SPTCache) search(s *DijkstraScratch, t *SPT, src NodeID) *SPT {
 // and source; the scratch only supplies working memory. Warm therefore
 // caches exactly the trees that Tree calls would.
 func (c *SPTCache) Warm(srcs []NodeID, run func(n int, fill func(i int, s *DijkstraScratch))) {
+	c.warm(srcs, nil, run)
+}
+
+// WarmPaused is Warm with every plain search paused as soon as it has
+// settled every node of srcs (a search that reaches its end first just
+// finishes). A paused tree keeps its heap, and the labels of nodes it has
+// reached but not settled, which are tentative: until Resume continues
+// it, only reads at its settled nodes — among them every node of srcs it
+// can reach — are exact, distances and paths alike. Searches under an
+// overlay or bounds do not pause.
+func (c *SPTCache) WarmPaused(srcs []NodeID, run func(n int, fill func(i int, s *DijkstraScratch))) {
+	c.warm(srcs, srcs, run)
+}
+
+// warm is Warm with the searches pausing at pause (nil: never).
+func (c *SPTCache) warm(srcs, pause []NodeID, run func(n int, fill func(i int, s *DijkstraScratch))) {
 	todo := make([]*SPT, 0, len(srcs))
 	for _, v := range srcs {
 		if v < 0 || int(v) >= c.g.n {
@@ -453,12 +564,36 @@ func (c *SPTCache) Warm(srcs []NodeID, run func(n int, fill func(i int, s *Dijks
 	}
 	c.g.ensureCSR()
 	run(len(todo), func(i int, s *DijkstraScratch) {
-		c.search(s, todo[i], todo[i].Source)
+		c.search(s, todo[i], todo[i].Source, pause)
 	})
 	for _, t := range todo {
 		c.trees[t.Source] = t
 	}
 	c.Runs += len(todo)
+}
+
+// Resume continues every paused tree rooted at a node of srcs, under the
+// cache's current radius, with the goroutine contract of Warm: run must
+// call fill(i, s) once for every i in [0, n), each call with a scratch no
+// other goroutine is using. A resumed search is the paused one carried on,
+// not a new run: Runs and the scratches' Runs stay, while HeapPushes and
+// Settled count on the scratch it resumes on. Each tree ends as the
+// uninterrupted search under the radius would have left it.
+func (c *SPTCache) Resume(srcs []NodeID, run func(n int, fill func(i int, s *DijkstraScratch))) {
+	todo := make([]*SPT, 0, len(srcs))
+	for _, v := range srcs {
+		if t, ok := c.trees[v]; ok && t.paused && !slices.Contains(todo, t) {
+			todo = append(todo, t)
+		}
+	}
+	if len(todo) == 0 {
+		return
+	}
+	c.g.ensureCSR()
+	radius := c.keyRadius()
+	run(len(todo), func(i int, s *DijkstraScratch) {
+		c.g.resume(s, todo[i], c.stop, radius)
+	})
 }
 
 // Dist returns the shortest-path distance between u and v, computing (and

@@ -30,8 +30,9 @@ type DijkstraScratch struct {
 	// pinNbr: node → epoch at which an overlay search found it adjacent to
 	// an unblocked pin, so its pin tail may relax (see markPinNeighbours).
 	pinNbr []uint32
-	ep     uint32 // current Dijkstra epoch (done/stop/pinNbr marks)
-	free   []*SPT // recycled shortest-path trees
+	pause  []uint32 // node → epoch at which it joined a plain search's pause set
+	ep     uint32   // current Dijkstra epoch (done/stop/pinNbr/pause marks)
+	free   []*SPT   // recycled shortest-path trees
 
 	// Second frontier for bidirectional search (BiDijkstraOverlay): its
 	// own heap and settled marks, sharing the epoch counter with the
@@ -101,14 +102,22 @@ func DiscardScratch(s *DijkstraScratch) {
 	}
 }
 
-// beginRun sizes the mark arrays for an n-node graph and opens a fresh
-// epoch, invalidating all done/stop/pinNbr marks in O(1).
+// beginRun opens a fresh epoch for a new search (openEpoch) and counts
+// the run.
 func (s *DijkstraScratch) beginRun(n int) uint32 {
+	s.Runs++
+	return s.openEpoch(n)
+}
+
+// openEpoch sizes the mark arrays for an n-node graph and opens a fresh
+// epoch, invalidating all done/stop/pinNbr/pause marks in O(1).
+func (s *DijkstraScratch) openEpoch(n int) uint32 {
 	if len(s.done) < n {
 		s.done = make([]uint32, n)
 		s.stop = make([]uint32, n)
 		s.doneB = make([]uint32, n)
 		s.pinNbr = make([]uint32, n)
+		s.pause = make([]uint32, n)
 		s.ep = 0
 	}
 	s.ep++
@@ -117,10 +126,32 @@ func (s *DijkstraScratch) beginRun(n int) uint32 {
 		clear(s.stop)
 		clear(s.doneB)
 		clear(s.pinNbr)
+		clear(s.pause)
 		s.ep = 1
 	}
-	s.Runs++
 	return s.ep
+}
+
+// markStop stamps every node of stop, and src, as a stop node of epoch ep
+// and returns how many distinct nodes that is: the count a search settles
+// before it may finish early. A nil stop set returns -1 (settle
+// everything).
+func (s *DijkstraScratch) markStop(stop []NodeID, src NodeID, ep uint32) int {
+	if stop == nil {
+		return -1
+	}
+	remaining := 0
+	for _, v := range stop {
+		if s.stop[v] != ep {
+			s.stop[v] = ep
+			remaining++
+		}
+	}
+	if s.stop[src] != ep {
+		s.stop[src] = ep
+		remaining++
+	}
+	return remaining
 }
 
 // acquireSPT pops a recycled tree (or allocates one), sizes it for an
@@ -145,8 +176,8 @@ func (s *DijkstraScratch) takeSPT() *SPT {
 // capacity falls short, and initializes every label to unreachable. A tree
 // whose last search finished on a graph of the same size holds labels only
 // at its settled nodes (see finish), so only those are cleared; a fresh
-// buffer, a size change or an unfinished search (a panic mid-run, or a
-// search that keeps no settled list) clears all n.
+// buffer, a size change or an unfinished search (a panic mid-run, a paused
+// search, or a search that keeps no settled list) clears all n.
 func (t *SPT) reset(n int, src NodeID) *SPT {
 	switch {
 	case cap(t.Dist) < n:
@@ -169,6 +200,9 @@ func (t *SPT) reset(n int, src NodeID) *SPT {
 	t.Source = src
 	t.settled = t.settled[:0]
 	t.tidy = false
+	t.paused = false
+	t.heap = t.heap[:0]
+	t.radius = inf
 	return t
 }
 
