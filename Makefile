@@ -14,9 +14,10 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 # Full check: build, vet, optional deep linters, and the test suite under
-# the race detector (the parallel minimum-width search makes -race
-# load-bearing). staticcheck and fieldalignment run only when installed —
-# the CI image may not ship them, and `make check` must work offline.
+# the race detector (the candidate-scan workers, the pathfinder's net
+# workers and the service's worker pool make -race load-bearing).
+# staticcheck and fieldalignment run only when installed — the CI image
+# may not ship them, and `make check` must work offline.
 # perfbench/ is its own Go module, so ./... never reaches it; vetting it
 # here compiles the benchmark against the packages it calls. The race run's
 # -timeout replaces go test's 10-minute per-package default: on a 2-vCPU

@@ -463,26 +463,14 @@ func BenchmarkSSSP_PathfinderNet(b *testing.B) {
 	}
 }
 
-// BenchmarkMinWidthParallel measures the concurrent minimum-width search on
-// the smallest Table 2 circuit; BenchmarkMinWidthSeq is the sequential
-// reference it is guaranteed to agree with.
-func BenchmarkMinWidthParallel(b *testing.B) {
+// BenchmarkMinWidth measures the minimum-width search on the smallest
+// Table 2 circuit, starting at its paper width.
+func BenchmarkMinWidth(b *testing.B) {
 	ckt := synthBench(b, "busc")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := router.MinWidth(ckt, 7, router.Options{MaxPasses: 6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMinWidthSeq(b *testing.B) {
-	ckt := synthBench(b, "busc")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := router.MinWidthSeq(nil, ckt, 7, router.Options{MaxPasses: 6}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -135,7 +135,7 @@ func scanInstance(seed int64) (*graph.Graph, []graph.NodeID) {
 
 // writeBenchJSON runs the tracked micro-benchmarks benchRuns times each,
 // round-robin, and writes path. quick times each entry once and skips the
-// whole-circuit benchmarks (minimum-width searches and full busc and z03
+// whole-circuit benchmarks (the minimum-width search and full busc and z03
 // routes), leaving a CI-smoke-sized subset that still exercises the pooled
 // cache and the parallel candidate scan.
 func writeBenchJSON(path string, quick bool) error {
@@ -390,18 +390,10 @@ func writeBenchJSON(path string, quick bool) error {
 			bench{name: "BenchmarkRouteBuscPar", fn: benchRoute(8)},
 			bench{name: "BenchmarkRouteBuscParallel1", fn: benchParallel(1), iters: pfIters},
 			bench{name: "BenchmarkRouteBuscParallel4", fn: benchParallel(4), iters: pfIters},
-			bench{name: "BenchmarkMinWidthParallel", fn: func(b *testing.B) {
+			bench{name: "BenchmarkMinWidth", fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := router.MinWidth(ckt, 7, mwOpts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}},
-			bench{name: "BenchmarkMinWidthSeq", fn: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := router.MinWidthSeq(nil, ckt, 7, mwOpts); err != nil {
 						b.Fatal(err)
 					}
 				}

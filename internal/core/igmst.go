@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"fpgarouter/internal/graph"
+	"fpgarouter/internal/stats"
 	"fpgarouter/internal/steiner"
 )
 
@@ -79,10 +80,23 @@ type Stats struct {
 	// on the worker forks' scratches: the terminal-tree warm-up and any
 	// search a parallel scan runs. It bypasses the caller's scratch, whose
 	// counter deltas the router and the pathfinder feed to their stats
-	// layer, so both add these separately; the sums then match a
+	// layer, so AddTo adds these separately; the sums then match a
 	// single-worker construction's.
 	WorkerSSSPRuns   int64
 	WorkerHeapPushes int64
+}
+
+// AddTo adds the construction's work counters to s; the router and the
+// pathfinder pass it to their collector's Record.
+func (st Stats) AddTo(s *stats.Snapshot) {
+	s.CandidateEvals += st.Evaluations
+	s.Screened += st.Screened
+	s.SteinerPoints += st.PointsChosen
+	s.ParallelScans += int64(st.ParallelScans)
+	s.ScanWall += st.ScanWall
+	s.ScanCPU += st.ScanCPU
+	s.SSSPRuns += st.WorkerSSSPRuns
+	s.HeapPushes += st.WorkerHeapPushes
 }
 
 // IGMST runs the iterated template of Figure 5 over base heuristic H.

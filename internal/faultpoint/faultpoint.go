@@ -139,10 +139,10 @@ func (i *Injected) Error() string {
 }
 
 // GoroutinePanic carries a panic recovered on a helper goroutine (a
-// candidate-scan worker, a width probe) to the goroutine that owns the
-// work, where it is re-raised. Stack is the helper goroutine's stack at the
-// original panic site, which the re-raise would otherwise lose; the
-// service's panic isolation surfaces it on failed jobs.
+// candidate-scan worker, a pathfinder net worker) to the goroutine that
+// owns the work, where it is re-raised. Stack is the helper goroutine's
+// stack at the original panic site, which the re-raise would otherwise
+// lose; the service's panic isolation surfaces it on failed jobs.
 type GoroutinePanic struct {
 	Value any
 	Stack []byte

@@ -71,7 +71,7 @@ type Arc struct {
 //
 // Concurrency: attribute mutations (SetWeight, SetEnabled, AddWeight) and
 // reads are safe only from one goroutine at a time, as before. Read-only
-// sharing (the router's parallel candidate scans and width probes) requires
+// sharing (the router's parallel candidate scans and net workers) requires
 // the CSR view to be current: call Freeze after the last AddEdge — the
 // fabric builders do — because a traversal on a stale view would otherwise
 // rebuild it lazily, racing concurrent readers.

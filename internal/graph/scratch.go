@@ -15,9 +15,9 @@ import (
 // evaluation on a warm scratch allocates only the tree it returns.
 //
 // A scratch is NOT safe for concurrent use: it belongs to exactly one
-// goroutine at a time. The parallel width search gives each probe goroutine
-// its own scratch via AcquireScratch/ReleaseScratch (a sync.Pool), which is
-// the intended sharing model. A scratch may be reused across graphs of
+// goroutine at a time. Candidate-scan workers and pathfinder net workers
+// each take their own scratch via AcquireScratch/ReleaseScratch (a
+// sync.Pool), which is the intended sharing model. A scratch may be reused across graphs of
 // different sizes; buffers grow on demand and are retained at high water.
 //
 // The exported counters accumulate monotonically across runs; the router's

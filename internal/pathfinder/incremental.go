@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"fpgarouter/internal/graph"
+	"fpgarouter/internal/stats"
 )
 
 // This file is the incremental rip-up-and-reroute machinery: partial tree
@@ -159,7 +160,7 @@ func (e *engine) reduceDelta(list []int32, usageLive bool) (overflow, priceUpdat
 		total += int64(len(e.trees[i].Edges))
 	}
 	if saved := total - walked; saved > 0 {
-		e.cfg.Stats.AddDeltaReduce(saved)
+		e.cfg.Stats.Record(func(s *stats.Snapshot) { s.ReduceEdgesSkipped += saved })
 	}
 	for r, u := range e.usage {
 		if u > 1 {

@@ -426,8 +426,14 @@ func (e *engine) run() (*Result, error) {
 		if h := e.cfg.hooks; h != nil && h.afterReduce != nil {
 			h.afterReduce(e, iter)
 		}
-		e.cfg.Stats.AddPathfinderIteration(int64(overflow), int64(priceUpdates))
-		e.cfg.Stats.AddIncremental(e.iterIncRe, e.iterRipped, e.iterRetain)
+		e.cfg.Stats.Record(func(s *stats.Snapshot) {
+			s.PathfinderIters++
+			s.OverflowEdges += int64(overflow)
+			s.PriceUpdates += int64(priceUpdates)
+			s.IncrementalReroutes += e.iterIncRe
+			s.EdgesRipped += e.iterRipped
+			s.EdgesRetained += e.iterRetain
+		})
 		res.EdgesRipped += e.iterRipped
 		res.EdgesRetained += e.iterRetain
 		res.IncrementalReroutes += e.iterIncRe
@@ -506,7 +512,10 @@ func (e *engine) releaseWorkers() {
 		graph.ReleaseScratch(wk.scratch)
 	}
 	e.workers = e.workers[:0]
-	e.cfg.Stats.AddSSSP(runs, pushes)
+	e.cfg.Stats.Record(func(s *stats.Snapshot) {
+		s.SSSPRuns += runs
+		s.HeapPushes += pushes
+	})
 }
 
 // worker is one net-routing goroutine's private state, reused across
@@ -803,11 +812,7 @@ func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin, wo
 		Batched:    !e.cfg.SingleStep,
 		Workers:    workers,
 	})
-	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.Screened, st.PointsChosen)
-	e.cfg.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
-	// Forks search on their own scratches, which the run-end accounting of
-	// the workers' scratches (releaseWorkers) never sees.
-	e.cfg.Stats.AddSSSP(st.WorkerSSSPRuns, st.WorkerHeapPushes)
+	e.cfg.Stats.Record(st.AddTo)
 	return tree, err
 }
 

@@ -46,8 +46,8 @@ func TestRouteContextBackgroundMatchesRoute(t *testing.T) {
 }
 
 // TestMinWidthContextDeadline is the cancellation-semantics regression
-// test: a short deadline must abort MinWidthContext mid-probe-batch
-// promptly (bounded wall-clock), classify as ErrCanceled plus
+// test: a short deadline must abort MinWidthContext mid-search promptly
+// (bounded wall-clock), classify as ErrCanceled plus
 // context.DeadlineExceeded, and leave the stats collector and the routing
 // context's pooled scratch in a reusable state.
 func TestMinWidthContextDeadline(t *testing.T) {
@@ -95,8 +95,9 @@ func TestMinWidthContextDeadline(t *testing.T) {
 	}
 }
 
-// TestMinWidthContextCancelMidBatch cancels (rather than times out) while
-// probes are in flight and checks the canceled error wins over unroutable.
+// TestMinWidthContextCancelMidBatch cancels (rather than times out) while a
+// width probe is in flight and checks the canceled error wins over
+// unroutable.
 func TestMinWidthContextCancelMidBatch(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 1)
 	cc, cancel := context.WithCancel(context.Background())
@@ -104,7 +105,7 @@ func TestMinWidthContextCancelMidBatch(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, _, _, err := MinWidthContext(cc, nil, ckt, 1, Options{MaxPasses: 20, WidthProbes: 3})
+	_, _, _, err := MinWidthContext(cc, nil, ckt, 1, Options{MaxPasses: 20})
 	if err != nil && !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-batch cancellation produced a non-canceled error: %v", err)
 	}

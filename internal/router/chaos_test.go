@@ -218,39 +218,6 @@ func TestChaosWarmupPanicFunneled(t *testing.T) {
 	resultsEqual(t, "post-warm-up-panic-parity", want, after)
 }
 
-// TestChaosWidthProbePanicFunneled: the same funnel for width-probe
-// goroutines — an SSSP panic inside a parallel MinWidth probe re-raises on
-// the search goroutine and the probe's child context is discarded, not
-// pooled.
-func TestChaosWidthProbePanicFunneled(t *testing.T) {
-	t.Cleanup(faultpoint.Reset)
-	ckt := synth(t, tinySpec(circuits.Series4000), 1)
-	baseline := graph.LiveScratches()
-	// CandidateWorkers 1 keeps all SSSP runs on the probe goroutines
-	// themselves, so the panic exercises exactly the probe funnel.
-	opts := Options{MaxPasses: 8, WidthProbes: 2, CandidateWorkers: 1}
-	faultpoint.Arm(faultpoint.SSSPExpand, faultpoint.Plan{Action: faultpoint.Panic, Nth: 50})
-	func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				t.Fatal("armed SSSP panic did not propagate from the probe batch")
-			}
-			gp, ok := p.(*faultpoint.GoroutinePanic)
-			if !ok {
-				t.Fatalf("panic value %T, want *faultpoint.GoroutinePanic", p)
-			}
-			if _, ok := gp.Value.(*faultpoint.Injected); !ok {
-				t.Fatalf("funneled value %T, want *faultpoint.Injected", gp.Value)
-			}
-		}()
-		MinWidth(ckt, 8, opts)
-	}()
-	if live := graph.LiveScratches(); live != baseline {
-		t.Fatalf("scratch leak across probe panic: %d live, baseline %d", live, baseline)
-	}
-}
-
 // TestFaultCancelMidPassContextReuse is the satellite regression test:
 // cancellation mid-pass must leave the routing context's pooled scratch
 // reusable — routing again on the same context is bit-identical to a fresh
@@ -336,7 +303,7 @@ func TestChaosMinWidthDeadlineBestSoFar(t *testing.T) {
 	// final unroutable grind (20 passes) takes an order of magnitude longer.
 	cc, cancel := context.WithTimeout(context.Background(), 3*d+100*time.Millisecond)
 	defer cancel()
-	w, res, complete, err := MinWidthContext(cc, nil, ckt, spec.PaperIKMB+1, Options{MaxPasses: 20, WidthProbes: 1})
+	w, res, complete, err := MinWidthContext(cc, nil, ckt, spec.PaperIKMB+1, Options{MaxPasses: 20})
 	if err == nil {
 		t.Fatalf("search completed within %v; deadline calibration is off", 3*d+100*time.Millisecond)
 	}

@@ -2,9 +2,7 @@
 // layer of a routing run in place of ambient per-call allocations. A
 // Context owns a pooled graph.DijkstraScratch (heap, settled marks and
 // recycled SPT buffers shared by every net routed under it) and an optional
-// stats.Collector. One Context serves one goroutine; the parallel width
-// search derives a child per probe goroutine, all reporting into the same
-// collector.
+// stats.Collector. One Context serves one goroutine at a time.
 package router
 
 import (
@@ -42,8 +40,8 @@ type Context struct {
 
 // DurableConfig carries the checkpoint/resume wiring of one durable job
 // into the pathfinder. Only parallel-mode Route calls honor it; the
-// sequential router and MinWidth probes ignore it (their state is cheap to
-// recompute, so recovery just restarts them).
+// service binds none for the sequential router or MinWidth (their state is
+// cheap to recompute, so recovery just restarts them).
 type DurableConfig struct {
 	// CheckpointEvery / CheckpointPeriod set the emission cadence (see
 	// pathfinder.Config). CheckpointFn receives each snapshot.
@@ -62,9 +60,9 @@ var ErrCanceled = errors.New("router: canceled")
 
 // checkCanceled returns nil while the run may continue, or an error
 // wrapping ErrCanceled and the context's cause once cancellation is
-// requested. It is called at pass and per-net boundaries, and between
-// width-probe batches — never inside a single-net construction, so pooled
-// scratch is always quiescent when a run aborts.
+// requested. It is called at pass and per-net boundaries, and before each
+// width probe — never inside a single-net construction, so pooled scratch
+// is always quiescent when a run aborts.
 func (ctx *Context) checkCanceled() error {
 	if ctx == nil || ctx.cc == nil {
 		return nil
@@ -119,13 +117,6 @@ func (ctx *Context) Discard() {
 		graph.DiscardScratch(ctx.scratch)
 		ctx.scratch = nil
 	}
-}
-
-// child derives a context for one worker goroutine of a parallel search:
-// its own scratch, the shared stats collector and cancellation signal.
-// Close it when the worker is done.
-func (ctx *Context) child() *Context {
-	return &Context{Stats: ctx.Stats, scratch: graph.AcquireScratch(), cc: ctx.cc}
 }
 
 // ensureContext returns ctx, or an ephemeral context plus its cleanup when

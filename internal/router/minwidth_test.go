@@ -1,7 +1,8 @@
 package router
 
 import (
-	"runtime"
+	"errors"
+	"fmt"
 	"testing"
 
 	"fpgarouter/internal/circuits"
@@ -42,11 +43,27 @@ func resultsEqual(t *testing.T, tag string, a, b *Result) {
 	}
 }
 
-// TestMinWidthParallelMatchesSequential is the boundary regression test of
-// the parallel width search: for several circuits, algorithms and start
-// widths, the parallel search must return the same width, error state and
-// bit-identical Result as the strictly sequential reference.
-func TestMinWidthParallelMatchesSequential(t *testing.T) {
+// checkMinimal asserts a width search's answer directly: w routes, the
+// search's Result equals RouteCtx's at w, and w-1 is unroutable (or w is 1).
+func checkMinimal(t *testing.T, ckt *circuits.Circuit, opts Options, w int, res *Result) {
+	t.Helper()
+	want, err := RouteCtx(nil, ckt, w, opts)
+	if err != nil {
+		t.Fatalf("returned width %d does not route: %v", w, err)
+	}
+	resultsEqual(t, fmt.Sprintf("width %d", w), want, res)
+	if w == 1 {
+		return
+	}
+	if _, err := RouteCtx(nil, ckt, w-1, opts); !errors.Is(err, ErrUnroutable) {
+		t.Fatalf("width %d is not minimal: width %d returned %v", w, w-1, err)
+	}
+}
+
+// TestMinWidthIsMinimal checks the width search over several circuits,
+// algorithms and start widths, below and above the answer: the returned
+// width routes to the returned Result, and one less does not route.
+func TestMinWidthIsMinimal(t *testing.T) {
 	cases := []struct {
 		name   string
 		series circuits.Series
@@ -62,67 +79,69 @@ func TestMinWidthParallelMatchesSequential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ckt := synth(t, tinySpec(tc.series), tc.seed)
-			wSeq, resSeq, errSeq := MinWidthSeq(nil, ckt, tc.start, tc.opts)
-			for _, probes := range []int{0, 1, 3} {
-				opts := tc.opts
-				opts.WidthProbes = probes
-				wPar, resPar, errPar := MinWidth(ckt, tc.start, opts)
-				if (errSeq == nil) != (errPar == nil) {
-					t.Fatalf("probes=%d: errors %v vs %v", probes, errSeq, errPar)
-				}
-				if errSeq != nil && errSeq.Error() != errPar.Error() {
-					t.Fatalf("probes=%d: error text %q vs %q", probes, errSeq, errPar)
-				}
-				if wPar != wSeq {
-					t.Fatalf("probes=%d: width %d vs sequential %d", probes, wPar, wSeq)
-				}
-				resultsEqual(t, tc.name, resSeq, resPar)
+			w, res, err := MinWidth(ckt, tc.start, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkMinimal(t, ckt, tc.opts, w, res)
 		})
 	}
 }
 
 // TestMinWidthHardStartParity stresses the grow phase: MaxPasses 1 with
-// move-to-front disabled keeps low widths failing for several batches, so
-// the parallel bracket has to skip past genuine ErrUnroutable outcomes and
-// still settle on the sequential answer (and the identical error text if
-// the search exhausts its width limit).
+// move-to-front disabled keeps low widths failing for several steps, so
+// the search has to skip past genuine ErrUnroutable outcomes before it
+// settles; its answer must still equal a direct route at that width. A
+// construction that fails every net exhausts the width limit instead, with
+// the limit in the error text.
 func TestMinWidthHardStartParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routes many widths")
 	}
 	ckt := synth(t, tinySpec(circuits.Series4000), 3)
 	opts := Options{MaxPasses: 1, NoMoveToFront: true}
-	wSeq, _, errSeq := MinWidthSeq(nil, ckt, 1, opts)
-	opts.WidthProbes = 4
-	wPar, _, errPar := MinWidth(ckt, 1, opts)
-	if wPar != wSeq {
-		t.Fatalf("width %d vs %d", wPar, wSeq)
-	}
-	if (errSeq == nil) != (errPar == nil) {
-		t.Fatalf("errors %v vs %v", errSeq, errPar)
-	}
-	if errSeq != nil && errSeq.Error() != errPar.Error() {
-		t.Fatalf("error text %q vs %q", errSeq, errPar)
-	}
-}
-
-// TestMinWidthCtxStats checks that a shared collector sees probes from the
-// concurrent workers and that GOMAXPROCS does not perturb results.
-func TestMinWidthCtxStats(t *testing.T) {
-	ckt := synth(t, tinySpec(circuits.Series4000), 1)
-	col := stats.New()
-	ctx := NewContext(col)
-	defer ctx.Close()
-	w, res, err := MinWidthCtx(ctx, ckt, 1, Options{MaxPasses: 6, WidthProbes: runtime.GOMAXPROCS(0)})
+	w, res, err := MinWidth(ckt, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Routed || res.Width != w {
-		t.Fatalf("result %+v at width %d", res, w)
+	checkMinimal(t, ckt, opts, w, res)
+
+	// The search gives up one width past 4*start+64.
+	_, res, err = MinWidth(ckt, 1, Options{Algorithm: "none", MaxPasses: 1})
+	want := fmt.Sprintf("router: %s unroutable up to width %d", ckt.Name, 4*1+64+1)
+	if err == nil || err.Error() != want || res != nil {
+		t.Fatalf("width-limit error %v (result %v), want %q", err, res, want)
 	}
-	s := col.Snapshot()
-	if s.WidthProbes == 0 || s.SSSPRuns == 0 || s.Passes == 0 || s.NetsRouted == 0 {
-		t.Fatalf("collector missed work: %+v", s)
+}
+
+// TestMinWidthCtxStats checks that the collector counts one width probe per
+// width the search visits. From start 1 the search grows through 1..w and
+// then probes w-1 once more; from a start above the answer it routes the
+// start, then every width down to w, then w-1.
+func TestMinWidthCtxStats(t *testing.T) {
+	ckt := synth(t, tinySpec(circuits.Series4000), 1)
+	opts := Options{MaxPasses: 6}
+	for _, start := range []int{1, 9} {
+		col := stats.New()
+		ctx := NewContext(col)
+		w, res, err := MinWidthCtx(ctx, ckt, start, opts)
+		ctx.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Routed || res.Width != w || w < 2 || w >= 9 {
+			t.Fatalf("start %d: result %+v at width %d", start, res, w)
+		}
+		visited := int64(w + 1)
+		if start > w {
+			visited = int64(start - w + 2)
+		}
+		s := col.Snapshot()
+		if s.WidthProbes != visited {
+			t.Fatalf("start %d, answer %d: %d width probes, want %d", start, w, s.WidthProbes, visited)
+		}
+		if s.SSSPRuns == 0 || s.Passes == 0 || s.NetsRouted == 0 {
+			t.Fatalf("collector missed work: %+v", s)
+		}
 	}
 }

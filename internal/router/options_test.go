@@ -67,18 +67,15 @@ func TestExplicitZeroAlphaReachesFabric(t *testing.T) {
 
 // TestMinWidthPreservesExplicitZeros guards against double normalization: a
 // width search issues many Route calls, and an explicit zero must not be
-// promoted back to the default on any of them. Disabling congestion
-// weighting typically costs channel width, so the searched minima should
-// reflect the setting rather than silently reverting.
+// promoted back to the default on any of them. Normalizing twice would turn
+// CongestionAlpha: Zero into the default weighting, so the search's widths
+// and Result would stop matching direct routes under the same options.
 func TestMinWidthPreservesExplicitZeros(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 2)
-	opts := Options{MaxPasses: 6, CongestionAlpha: Zero, WidthProbes: 2}
-	wPar, _, errPar := MinWidth(ckt, 1, opts)
-	wSeq, _, errSeq := MinWidthSeq(nil, ckt, 1, opts)
-	if errPar != nil || errSeq != nil {
-		t.Fatalf("errors: %v / %v", errPar, errSeq)
+	opts := Options{MaxPasses: 6, CongestionAlpha: Zero}
+	w, res, err := MinWidth(ckt, 1, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wPar != wSeq {
-		t.Fatalf("parallel width %d != sequential %d under explicit-zero options", wPar, wSeq)
-	}
+	checkMinimal(t, ckt, opts, w, res)
 }

@@ -23,6 +23,7 @@ import (
 	"fpgarouter/internal/faultpoint"
 	"fpgarouter/internal/fpga"
 	"fpgarouter/internal/graph"
+	"fpgarouter/internal/stats"
 	"fpgarouter/internal/steiner"
 )
 
@@ -68,10 +69,12 @@ type Options struct {
 	// default (1.0); use Zero (or any negative value) to explicitly
 	// disable congestion weighting.
 	CongestionAlpha float64 `json:"congestion_alpha,omitempty"`
-	// WidthProbes bounds how many channel widths MinWidth probes
-	// concurrently. 0 selects the default (the number of CPUs, capped at
-	// 8); 1 (or any negative value) forces one probe at a time. The
-	// search's outputs are identical at every setting.
+	// WidthProbes has no effect: MinWidth routes one width at a time (the
+	// concurrent width probes it selected were removed). The field remains
+	// so journaled requests and clients that send width_probes still decode
+	// under strict parsing.
+	//
+	// Deprecated: leave unset.
 	WidthProbes int `json:"width_probes,omitempty"`
 	// CandidateWorkers bounds the fan-out of the iterated constructions'
 	// candidate-evaluation scans (core.Options.Workers): each net's
@@ -80,8 +83,7 @@ type Options struct {
 	// shortest-paths snapshot. 0 selects the default (GOMAXPROCS capped at
 	// 8); 1 (or any negative value) forces the sequential reference scan.
 	// Routing results are bit-identical at every setting (see the parity
-	// tests). Combined with WidthProbes the total goroutine fan-out is the
-	// product of the two; GOMAXPROCS bounds actual parallelism.
+	// tests).
 	CandidateWorkers int `json:"candidate_workers,omitempty"`
 	// Parallel selects the net-parallel negotiated-congestion router
 	// (internal/pathfinder) instead of the paper's sequential rip-up/
@@ -384,7 +386,7 @@ func routeOnFabric(ctx *Context, fab *fpga.Fabric, ckt *circuits.Circuit, opts O
 			return best, err
 		}
 		res.Passes = pass
-		st.AddPass()
+		st.Record(func(s *stats.Snapshot) { s.Passes++ })
 		fab.Reset()
 		// Register pin demand for every net so traversal routes avoid
 		// walling off pins of nets still waiting to be routed.
@@ -413,7 +415,10 @@ func routeOnFabric(ctx *Context, fab *fpga.Fabric, ckt *circuits.Circuit, opts O
 			}
 			tree, err := routeNet(ctx, fab, ckt.Nets[idx], netOpts(idx))
 			if st.Enabled() {
-				st.AddSSSP(ctx.scratch.Runs-runs0, ctx.scratch.HeapPushes-pushes0)
+				st.Record(func(s *stats.Snapshot) {
+					s.SSSPRuns += ctx.scratch.Runs - runs0
+					s.HeapPushes += ctx.scratch.HeapPushes - pushes0
+				})
 				st.ObserveNet(time.Since(netStart), err == nil)
 			}
 			if err != nil {
@@ -445,7 +450,7 @@ func routeOnFabric(ctx *Context, fab *fpga.Fabric, ckt *circuits.Circuit, opts O
 			return res, nil
 		}
 		res.FailedNets = failed
-		st.AddRipUps(int64(len(failed)))
+		st.Record(func(s *stats.Snapshot) { s.RipUps += int64(len(failed)) })
 		if routed >= bestRouted {
 			bestRouted = routed
 			best = snapshotPartial(res, routed, failed)
@@ -505,16 +510,6 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 	cache = ctx.attach(cache)
 	defer cache.Release()
 	iterOpts := core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers}
-	// record forwards an iterated construction's work counters — candidate
-	// evaluations, screened candidates, admitted points, and the parallel
-	// scans' wall/CPU split — to the context's collector.
-	record := func(st core.Stats) {
-		ctx.Stats.AddCandidateWork(st.Evaluations, st.Screened, st.PointsChosen)
-		ctx.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
-		// Worker forks run Dijkstra on their own scratch, invisible to the
-		// context scratch's counter deltas recorded by routeOnFabric.
-		ctx.Stats.AddSSSP(st.WorkerSSSPRuns, st.WorkerHeapPushes)
-	}
 	switch opts.Algorithm {
 	case AlgKMB:
 		return steiner.KMB(cache, terms)
@@ -530,22 +525,22 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 		return arbor.PFA(cache, terms)
 	case AlgIKMB:
 		tree, st, err := core.IKMBStats(cache, terms, iterOpts)
-		record(st)
+		ctx.Stats.Record(st.AddTo)
 		return tree, err
 	case AlgISPH:
 		tree, st, err := core.IGMSTStats(cache, terms, steiner.SPH, iterOpts)
-		record(st)
+		ctx.Stats.Record(st.AddTo)
 		return tree, err
 	case AlgIZEL:
 		zel := func(c *graph.SPTCache, n []graph.NodeID) (graph.Tree, error) {
 			return steiner.ZELRestricted(c, n, pool)
 		}
 		tree, st, err := core.IGMSTStats(cache, terms, zel, iterOpts)
-		record(st)
+		ctx.Stats.Record(st.AddTo)
 		return tree, err
 	default: // AlgIDOM
 		tree, st, err := core.IDOMStats(cache, terms, iterOpts)
-		record(st)
+		ctx.Stats.Record(st.AddTo)
 		return tree, err
 	}
 }

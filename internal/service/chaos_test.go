@@ -8,6 +8,9 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -18,6 +21,7 @@ import (
 
 	"fpgarouter/internal/circuits"
 	"fpgarouter/internal/faultpoint"
+	"fpgarouter/internal/graph"
 	"fpgarouter/internal/router"
 )
 
@@ -132,8 +136,8 @@ func TestChaosServiceWorkerPanicExhaustsRetries(t *testing.T) {
 
 // TestChaosScanWorkerPanicIsolatedInService exercises the full funnel: a
 // panic on a candidate-scan worker goroutine deep inside the router crosses
-// the scan barrier, the probe batch, and the job's recover, becomes a
-// transient PanicError, and the retry succeeds.
+// the scan barrier and the job's recover, becomes a transient PanicError,
+// and the retry succeeds.
 func TestChaosScanWorkerPanicIsolatedInService(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	_, ts := harness(t, Config{Workers: 1, QueueDepth: 8})
@@ -155,6 +159,64 @@ func TestChaosScanWorkerPanicIsolatedInService(t *testing.T) {
 	}
 	if final.Attempts != 2 {
 		t.Fatalf("attempts %d, want 2 (scan panic + clean retry)", final.Attempts)
+	}
+}
+
+// TestChaosMinWidthPanicIsolatedInService: an SSSP panic inside a minwidth
+// job's width search is recovered by the job's isolation, the worker's
+// routing context is discarded (no scratch stays checked out once the
+// service drains), and the retry returns the width and Result of a direct
+// search.
+func TestChaosMinWidthPanicIsolatedInService(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	baseline := graph.LiveScratches()
+	svc, ts := harness(t, Config{Workers: 1, QueueDepth: 8})
+	spec := circuits.Spec{Name: "mw", Series: circuits.Series4000, Cols: 5, Rows: 5,
+		Nets2_3: 12, Nets4_10: 4}
+	ckt, err := circuits.Synthesize(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// CandidateWorkers 1 keeps every search on the worker goroutine.
+	opts := router.Options{MaxPasses: 4, CandidateWorkers: 1}
+	faultpoint.Arm(faultpoint.SSSPExpand, faultpoint.Plan{Action: faultpoint.Panic, Nth: 50})
+	var st Status
+	code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{
+		Mode: ModeMinWidth, Netlist: ckt, StartWidth: 1, MaxRetries: 2, RetryBackoffMs: -1,
+		Options: opts,
+	}, &st)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", code, body)
+	}
+	final := pollUntilTerminal(t, ts.URL, st.ID, 2*time.Minute)
+	if final.State != StateDone || final.Attempts != 2 {
+		t.Fatalf("job ended %s after %d attempts (%s), want done after 2", final.State, final.Attempts, final.Error)
+	}
+	if n := svc.Stats().Snapshot().JobPanics; n != 1 {
+		t.Fatalf("recovered panics %d, want 1", n)
+	}
+	var rr ResultResponse
+	if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/result", &rr); code != http.StatusOK {
+		t.Fatalf("result: HTTP %d", code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if live := graph.LiveScratches(); live != baseline {
+		t.Fatalf("scratch leak across the job's panic: %d live, baseline %d", live, baseline)
+	}
+
+	faultpoint.Reset()
+	wantW, wantRes, err := router.MinWidth(ckt, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(rr.Result)
+	want, _ := json.Marshal(wantRes)
+	if rr.Width != wantW || !bytes.Equal(got, want) {
+		t.Fatalf("retried job returned width %d, direct search %d (results equal: %v)", rr.Width, wantW, bytes.Equal(got, want))
 	}
 }
 
@@ -213,7 +275,7 @@ func TestChaosMinWidthDeadlinePartialOverHTTP(t *testing.T) {
 	code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{
 		Mode: ModeMinWidth, Circuit: "busc", StartWidth: spec.PaperIKMB + 1,
 		TimeoutMs: timeoutMs,
-		Options:   router.Options{MaxPasses: 20, WidthProbes: 1},
+		Options:   router.Options{MaxPasses: 20},
 	}, &st)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", code, body)
@@ -273,7 +335,7 @@ func TestFaultRetryAfterComputed(t *testing.T) {
 	// The live header must parse as a positive integer.
 	_, ts := harness(t, Config{Workers: 1, QueueDepth: 1})
 	grind := SubmitRequest{Mode: ModeMinWidth, Circuit: "busc", StartWidth: 1,
-		Options: router.Options{MaxPasses: 20, WidthProbes: 1}}
+		Options: router.Options{MaxPasses: 20}}
 	var first, second Status
 	if code, _ := postJSON(t, ts.URL+"/jobs", grind, &first); code != http.StatusAccepted {
 		t.Fatal("first submit rejected")
@@ -354,7 +416,7 @@ func TestFaultReadyzTracksDrainAndSaturation(t *testing.T) {
 
 	// Occupy the worker, then fill the 1-deep queue.
 	grind := SubmitRequest{Mode: ModeMinWidth, Circuit: "busc", StartWidth: 1,
-		Options: router.Options{MaxPasses: 20, WidthProbes: 1}}
+		Options: router.Options{MaxPasses: 20}}
 	var first, second Status
 	if code, _ := postJSON(t, ts.URL+"/jobs", grind, &first); code != http.StatusAccepted {
 		t.Fatal("first submit rejected")

@@ -18,6 +18,7 @@ import (
 
 	"fpgarouter/internal/journal"
 	"fpgarouter/internal/pathfinder"
+	"fpgarouter/internal/stats"
 )
 
 // RecoveryReport summarizes what journal replay reconstructed.
@@ -99,7 +100,7 @@ func Recover(cfg Config, rep *journal.Replay) (*Service, RecoveryReport, error) 
 	}
 
 	s := newService(cfg, len(histories))
-	s.stats.AddJournalReplay(int64(report.ReplayedRecords))
+	s.stats.Record(func(st *stats.Snapshot) { st.JournalReplayRecords += int64(report.ReplayedRecords) })
 	maxSeq := int64(0)
 	for _, h := range histories {
 		if n, err := strconv.ParseInt(strings.TrimPrefix(h.id, "job-"), 10, 64); err == nil && n > maxSeq {
@@ -212,7 +213,7 @@ func (s *Service) recoverJob(h *jobHistory, report *RecoveryReport) (*Job, bool)
 		report.Resumed++
 	}
 	report.Requeued++
-	s.stats.AddJobsRecovered(1)
+	s.stats.Record(func(st *stats.Snapshot) { st.JobsRecovered++ })
 	return job, true
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -399,5 +400,61 @@ func TestCanceledWhileQueuedSurvivesRestart(t *testing.T) {
 	}
 	if got := j.Status(); got.State != StateCanceled {
 		t.Fatalf("canceled job replayed as %s", got.State)
+	}
+}
+
+// TestSubmitJournalsBeforeWorkerStarts submits a burst of small distinct
+// route jobs to a durable service whose two workers sit idle, so a worker
+// picks each job up the moment it is queued. Submit must register the job,
+// journal its submission and take its status before a worker can see it:
+// every 202 reads queued, and each job's first journal record is its
+// EvSubmitted (Recover skips records before it as orphans, so a job whose
+// EvDone came first would run again after a restart).
+func TestSubmitJournalsBeforeWorkerStarts(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, ts := durableHarness(t, dir, Config{Workers: 2, QueueDepth: 16})
+	spec := circuits.Spec{Name: "burst", Series: circuits.Series4000, Cols: 4, Rows: 4,
+		Nets2_3: 6, Nets4_10: 2}
+	ckt, err := circuits.Synthesize(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for width := 6; width < 18; width++ {
+		var st Status
+		code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{
+			Mode: ModeRoute, Netlist: ckt, Width: width, Options: router.Options{MaxPasses: 2},
+		}, &st)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit width %d: HTTP %d: %s", width, code, body)
+		}
+		if st.State != StateQueued {
+			t.Fatalf("submit width %d: 202 reads %s, want queued", width, st.State)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		pollUntilTerminal(t, ts.URL, id, time.Minute)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	svc.Shutdown(ctx)
+	svc.cfg.Journal.Close()
+
+	j, rep, err := journal.Open(filepath.Join(dir, "journal.wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	first := make(map[string]string)
+	for _, rec := range rep.Records {
+		if _, seen := first[rec.JobID]; !seen {
+			first[rec.JobID] = rec.Event
+		}
+	}
+	for _, id := range ids {
+		if ev := first[id]; ev != journal.EvSubmitted {
+			t.Fatalf("job %s: first journal record is %q, want %q", id, ev, journal.EvSubmitted)
+		}
 	}
 }

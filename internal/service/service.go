@@ -34,7 +34,7 @@ import (
 // Config sizes the service. The zero value is completed with defaults.
 type Config struct {
 	// Workers is the worker-pool size (default: GOMAXPROCS, capped at 4 —
-	// each worker's MinWidth search is itself parallel).
+	// each worker's routes fan their candidate scans out too).
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker; beyond it
 	// submissions are rejected with ErrQueueFull (default 64).
@@ -160,7 +160,7 @@ func (s *Service) journalAppend(rec journal.Record) {
 	}
 	rec.Time = time.Now().UTC()
 	if err := s.cfg.Journal.Append(rec); err != nil {
-		s.stats.AddJournalError()
+		s.stats.Record(func(st *stats.Snapshot) { st.JournalAppendErrors++ })
 	}
 }
 
@@ -227,11 +227,19 @@ func (s *Service) Submit(req *SubmitRequest) (Status, error) {
 	}
 	cached, haveCached := s.lookupResult(job.key)
 
+	// The job is registered, journaled and its status taken before a worker
+	// can see it: every send happens under mu, so the room checked here is
+	// still there at the send, and a worker never starts (or journals) a
+	// job ahead of its submitted record.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.rejected.Add(1)
 		return Status{}, ErrDraining
+	}
+	if !haveCached && len(s.queue) == cap(s.queue) {
+		s.rejected.Add(1)
+		return Status{}, ErrQueueFull
 	}
 	s.seq++
 	job.id = fmt.Sprintf("job-%06d", s.seq)
@@ -243,14 +251,6 @@ func (s *Service) Submit(req *SubmitRequest) (Status, error) {
 		job.result = cached.Result
 		job.started = job.submitted
 		job.finished = time.Now()
-	} else {
-		select {
-		case s.queue <- job:
-		default:
-			s.seq--
-			s.rejected.Add(1)
-			return Status{}, ErrQueueFull
-		}
 	}
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
@@ -260,7 +260,11 @@ func (s *Service) Submit(req *SubmitRequest) (Status, error) {
 		s.completed[cDone].Add(1)
 		s.journalAppend(journal.Record{Event: journal.EvDone, JobID: job.id, Key: job.key, Width: job.outWidth})
 	}
-	return job.Status(), nil
+	st := job.Status()
+	if !haveCached {
+		s.queue <- job
+	}
+	return st, nil
 }
 
 // lookupResult consults the result store for a completed answer under key
@@ -405,7 +409,7 @@ func (s *Service) run(rc *router.Context, job *Job) *router.Context {
 			// The panic may have interrupted pooled-scratch bookkeeping
 			// mid-flight: discard the context wholesale and rebuild, so the
 			// process-wide pool never sees a possibly-inconsistent entry.
-			s.stats.AddJobPanic()
+			s.stats.Record(func(st *stats.Snapshot) { st.JobPanics++ })
 			rc.Discard()
 			rc = router.NewContext(s.stats)
 		}
@@ -422,7 +426,7 @@ func (s *Service) run(rc *router.Context, job *Job) *router.Context {
 		if err == nil || attempt >= job.retries || !errors.Is(err, ErrTransient) {
 			break
 		}
-		s.stats.AddJobRetry()
+		s.stats.Record(func(st *stats.Snapshot) { st.JobRetries++ })
 		if !sleepBackoff(cc, job.backoff, attempt) {
 			// Canceled while backing off: surface the cancellation, keeping
 			// the transient error as context.
@@ -432,7 +436,7 @@ func (s *Service) run(rc *router.Context, job *Job) *router.Context {
 		}
 	}
 	if err != nil && res != nil {
-		s.stats.AddPartialResult()
+		s.stats.Record(func(st *stats.Snapshot) { st.PartialResults++ })
 	}
 	s.observeJobDuration(time.Since(start))
 	// Persist a successful result BEFORE finish publishes done and before
@@ -442,7 +446,7 @@ func (s *Service) run(rc *router.Context, job *Job) *router.Context {
 	// result. finish maps a nil error to done unconditionally.
 	if err == nil && s.cfg.Results != nil && job.key != "" {
 		if perr := s.cfg.Results.Put(job.key, storedResult{Width: width, Result: res}); perr != nil {
-			s.stats.AddJournalError()
+			s.stats.Record(func(st *stats.Snapshot) { st.JournalAppendErrors++ })
 		}
 	}
 	switch job.finish(width, res, err, attempts) {
@@ -491,16 +495,16 @@ func (s *Service) durableFor(job *Job) *router.DurableConfig {
 // degrade durability only — the route keeps running.
 func (s *Service) persistCheckpoint(job *Job, ck *pathfinder.Checkpoint) {
 	if err := s.cfg.Results.Put(checkpointKey(job.id), ck); err != nil {
-		s.stats.AddJournalError()
+		s.stats.Record(func(st *stats.Snapshot) { st.JournalAppendErrors++ })
 		return
 	}
-	s.stats.AddCheckpointWritten()
+	s.stats.Record(func(st *stats.Snapshot) { st.CheckpointsWritten++ })
 	job.noteCheckpoint()
 	s.journalAppend(journal.Record{Event: journal.EvCheckpointed, JobID: job.id, Iteration: ck.Iteration})
 }
 
 // attempt executes one try of the job under panic isolation: a panic on the
-// worker (or funneled up from a scan/probe goroutine, see
+// worker (or funneled up from a scan or net-worker goroutine, see
 // faultpoint.GoroutinePanic) is converted into a transient PanicError
 // instead of unwinding past the job and killing the daemon.
 func (s *Service) attempt(rc *router.Context, cc context.Context, job *Job) (width int, res *router.Result, err error, panicked bool) {

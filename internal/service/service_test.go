@@ -90,19 +90,22 @@ func pollUntilTerminal(t *testing.T, base, id string, timeout time.Duration) Sta
 }
 
 // minwidthOpts keeps service tests fast while staying on a real paper
-// circuit: few passes, bounded probe parallelism.
-var minwidthOpts = router.Options{MaxPasses: 4, WidthProbes: 2}
+// circuit: few passes.
+var minwidthOpts = router.Options{MaxPasses: 4}
 
 // TestEndToEndMinWidthParity is the acceptance test: submit a minwidth job
 // for a paper circuit over HTTP, poll to completion, and require the
 // returned width and result to be bit-identical to calling router.MinWidth
-// in-process.
+// in-process. The job also carries the retired width_probes field, which
+// the direct reference leaves unset: it must change nothing.
 func TestEndToEndMinWidthParity(t *testing.T) {
 	_, ts := harness(t, Config{Workers: 2, QueueDepth: 8})
 
+	jobOpts := minwidthOpts
+	jobOpts.WidthProbes = 2
 	var st Status
 	code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{
-		Mode: ModeMinWidth, Circuit: "busc", Seed: 1, Options: minwidthOpts,
+		Mode: ModeMinWidth, Circuit: "busc", Seed: 1, Options: jobOpts,
 	}, &st)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", code, body)
@@ -231,7 +234,7 @@ func TestDeadlineJobCancels(t *testing.T) {
 	var doomed Status
 	code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{
 		Mode: ModeMinWidth, Circuit: "busc", StartWidth: 1, TimeoutMs: 25,
-		Options: router.Options{MaxPasses: 20, WidthProbes: 1},
+		Options: router.Options{MaxPasses: 20},
 	}, &doomed)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", code, body)
@@ -268,7 +271,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	var blocker, queued Status
 	if code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{
 		Mode: ModeMinWidth, Circuit: "busc", StartWidth: 1,
-		Options: router.Options{MaxPasses: 20, WidthProbes: 1},
+		Options: router.Options{MaxPasses: 20},
 	}, &blocker); code != http.StatusAccepted {
 		t.Fatalf("blocker submit: HTTP %d: %s", code, body)
 	}
@@ -340,7 +343,7 @@ func TestShutdownGraceExpiryCancels(t *testing.T) {
 	var st Status
 	if code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{
 		Mode: ModeMinWidth, Circuit: "busc", StartWidth: 1,
-		Options: router.Options{MaxPasses: 20, WidthProbes: 1},
+		Options: router.Options{MaxPasses: 20},
 	}, &st); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %s", code, body)
 	}
@@ -407,7 +410,7 @@ func TestQueueFullRejects(t *testing.T) {
 	svc, ts := harness(t, Config{Workers: 1, QueueDepth: 1})
 	// Occupy the worker, then fill the 1-deep queue.
 	grind := SubmitRequest{Mode: ModeMinWidth, Circuit: "busc", StartWidth: 1,
-		Options: router.Options{MaxPasses: 20, WidthProbes: 1}}
+		Options: router.Options{MaxPasses: 20}}
 	var first Status
 	if code, _ := postJSON(t, ts.URL+"/jobs", grind, &first); code != http.StatusAccepted {
 		t.Fatal("first submit rejected")

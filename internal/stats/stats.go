@@ -3,17 +3,21 @@
 // rip-ups, candidate-scan evaluations, per-net routing time, channel-span
 // congestion histogram) that costs nothing when absent.
 //
-// Every record method is a no-op on a nil *Collector, so the router
-// unconditionally calls them and callers opt in by attaching a collector to
-// their routing Context (cmd/fpgaroute -stats, cmd/tables -stats, or the
-// experiments harnesses). All counters are atomics: one collector can be
-// shared by the concurrent width probes of the parallel MinWidth search.
+// Each counter is declared once, as a Snapshot field whose struct tags
+// carry its Prometheus name, type and help text; WritePrometheus renders
+// every field from those tags. Recording goes through Collector.Record,
+// which applies a function to the counters under the collector's mutex:
+// one collector is shared by the service's workers and by the pathfinder's
+// net workers. Every record method is a no-op on a nil *Collector, so the
+// router unconditionally calls them and callers opt in by attaching a
+// collector to their routing Context (cmd/fpgaroute -stats, cmd/tables
+// -stats, or the experiments harnesses).
 package stats
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -25,36 +29,8 @@ const CongestionBuckets = 10
 // Collector accumulates router work counters. The zero value is ready to
 // use; a nil *Collector is also valid and records nothing.
 type Collector struct {
-	ssspRuns     atomic.Int64
-	heapPushes   atomic.Int64
-	netsRouted   atomic.Int64
-	netFailures  atomic.Int64
-	netTimeNs    atomic.Int64
-	maxNetTimeNs atomic.Int64
-	passes       atomic.Int64
-	ripUps       atomic.Int64
-	widthProbes  atomic.Int64
-	candEvals    atomic.Int64
-	screened     atomic.Int64
-	steinerPts   atomic.Int64
-	parScans     atomic.Int64
-	scanWallNs   atomic.Int64
-	scanCPUNs    atomic.Int64
-	jobRetries   atomic.Int64
-	jobPanics    atomic.Int64
-	partials     atomic.Int64
-	pfIters      atomic.Int64
-	pfOverflow   atomic.Int64
-	pfPriceUpds  atomic.Int64
-	incReroutes  atomic.Int64
-	edgesRipped  atomic.Int64
-	edgesKept    atomic.Int64
-	reduceSkip   atomic.Int64
-	ckptWritten  atomic.Int64
-	jobsRecov    atomic.Int64
-	jrnlReplayed atomic.Int64
-	jrnlErrors   atomic.Int64
-	congestion   [CongestionBuckets]atomic.Int64
+	mu sync.Mutex
+	s  Snapshot
 }
 
 // New returns an empty collector.
@@ -63,286 +39,118 @@ func New() *Collector { return new(Collector) }
 // Enabled reports whether the collector actually records (non-nil).
 func (c *Collector) Enabled() bool { return c != nil }
 
-// AddSSSP records runs Dijkstra executions performing pushes heap
-// insertions (the router feeds deltas of its scratch's counters per net).
-func (c *Collector) AddSSSP(runs, pushes int64) {
+// Record applies f to the counters under the collector's lock, so f sees
+// and leaves them consistent; on a nil collector it does nothing. Callers
+// pass a function that adds to the fields they count, for example
+// c.Record(func(s *stats.Snapshot) { s.Passes++ }). Since f runs under the
+// lock, it must only update fields: no blocking, no call back into c.
+func (c *Collector) Record(f func(*Snapshot)) {
 	if c == nil {
 		return
 	}
-	c.ssspRuns.Add(runs)
-	c.heapPushes.Add(pushes)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f(&c.s)
 }
 
 // ObserveNet records one net-routing attempt: its wall time and outcome.
 func (c *Collector) ObserveNet(d time.Duration, ok bool) {
-	if c == nil {
-		return
-	}
-	if ok {
-		c.netsRouted.Add(1)
-	} else {
-		c.netFailures.Add(1)
-	}
-	ns := d.Nanoseconds()
-	c.netTimeNs.Add(ns)
-	for {
-		old := c.maxNetTimeNs.Load()
-		if ns <= old || c.maxNetTimeNs.CompareAndSwap(old, ns) {
-			break
+	c.Record(func(s *Snapshot) {
+		if ok {
+			s.NetsRouted++
+		} else {
+			s.NetFailures++
 		}
-	}
-}
-
-// AddPass records one rip-up/re-route pass.
-func (c *Collector) AddPass() {
-	if c == nil {
-		return
-	}
-	c.passes.Add(1)
-}
-
-// AddRipUps records n nets ripped up for re-routing after a failed pass.
-func (c *Collector) AddRipUps(n int64) {
-	if c == nil {
-		return
-	}
-	c.ripUps.Add(n)
-}
-
-// AddWidthProbe records one Route call issued by a channel-width search.
-func (c *Collector) AddWidthProbe() {
-	if c == nil {
-		return
-	}
-	c.widthProbes.Add(1)
-}
-
-// AddCandidateWork records an iterated construction's candidate-scan work:
-// evals base-heuristic evaluations, screened of them ruled out by IKMB's
-// cost screen without building a tree, and points admitted Steiner points.
-func (c *Collector) AddCandidateWork(evals, screened, points int64) {
-	if c == nil {
-		return
-	}
-	c.candEvals.Add(evals)
-	c.screened.Add(screened)
-	c.steinerPts.Add(points)
-}
-
-// AddScans records n parallel candidate-scan rounds (rounds that actually
-// fanned out over more than one worker goroutine), with their total
-// wall-clock and summed per-worker busy time. cpu/wall is the achieved scan
-// parallelism; sequential scans record nothing.
-func (c *Collector) AddScans(n int64, wall, cpu time.Duration) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.parScans.Add(n)
-	c.scanWallNs.Add(wall.Nanoseconds())
-	c.scanCPUNs.Add(cpu.Nanoseconds())
-}
-
-// AddJobRetry records one retry of a transiently failed service job.
-func (c *Collector) AddJobRetry() {
-	if c == nil {
-		return
-	}
-	c.jobRetries.Add(1)
-}
-
-// AddJobPanic records one worker panic recovered by the service's per-job
-// isolation (the routing context involved is discarded, not pooled).
-func (c *Collector) AddJobPanic() {
-	if c == nil {
-		return
-	}
-	c.jobPanics.Add(1)
-}
-
-// AddPartialResult records one interrupted run that still surrendered a
-// partial result (graceful degradation) instead of a bare error.
-func (c *Collector) AddPartialResult() {
-	if c == nil {
-		return
-	}
-	c.partials.Add(1)
-}
-
-// AddPathfinderIteration records one negotiated-congestion iteration of the
-// parallel router: how many resources ended the iteration over capacity and
-// how many history-price sub-gradient updates the reduce applied.
-func (c *Collector) AddPathfinderIteration(overflow, priceUpdates int64) {
-	if c == nil {
-		return
-	}
-	c.pfIters.Add(1)
-	c.pfOverflow.Add(overflow)
-	c.pfPriceUpds.Add(priceUpdates)
-}
-
-// AddIncremental records one pathfinder iteration's rip-up accounting:
-// reroutes nets reconnected from a retained fragment, ripped previous-tree
-// edges discarded before rerouting, and retained previous-tree edges kept
-// by partial rip-up.
-func (c *Collector) AddIncremental(reroutes, ripped, retained int64) {
-	if c == nil {
-		return
-	}
-	c.incReroutes.Add(reroutes)
-	c.edgesRipped.Add(ripped)
-	c.edgesKept.Add(retained)
-}
-
-// AddDeltaReduce records tree edges the delta reduce did not have to walk
-// compared to the full recount over every net's tree.
-func (c *Collector) AddDeltaReduce(skipped int64) {
-	if c == nil {
-		return
-	}
-	c.reduceSkip.Add(skipped)
-}
-
-// AddCheckpointWritten records one pathfinder checkpoint persisted to the
-// durable store.
-func (c *Collector) AddCheckpointWritten() {
-	if c == nil {
-		return
-	}
-	c.ckptWritten.Add(1)
-}
-
-// AddJobsRecovered records n interrupted jobs re-enqueued (or results
-// re-served) by journal replay at startup.
-func (c *Collector) AddJobsRecovered(n int64) {
-	if c == nil {
-		return
-	}
-	c.jobsRecov.Add(n)
-}
-
-// AddJournalReplay records n intact journal records read back at startup.
-func (c *Collector) AddJournalReplay(n int64) {
-	if c == nil {
-		return
-	}
-	c.jrnlReplayed.Add(n)
-}
-
-// AddJournalError records one journal append dropped because the journal
-// degraded (or was degrading) to read-only.
-func (c *Collector) AddJournalError() {
-	if c == nil {
-		return
-	}
-	c.jrnlErrors.Add(1)
+		s.NetTime += d
+		if d > s.MaxNetTime {
+			s.MaxNetTime = d
+		}
+	})
 }
 
 // RecordCongestion bins each channel span's utilization fraction
 // (used/width) into the congestion histogram; the router records the final
 // fabric state of each successfully routed circuit.
 func (c *Collector) RecordCongestion(used []int32, width int) {
-	if c == nil || width <= 0 {
+	if width <= 0 {
 		return
 	}
-	for _, u := range used {
-		b := int(u) * CongestionBuckets / width
-		if b >= CongestionBuckets {
-			b = CongestionBuckets - 1
+	c.Record(func(s *Snapshot) {
+		for _, u := range used {
+			b := int(u) * CongestionBuckets / width
+			if b >= CongestionBuckets {
+				b = CongestionBuckets - 1
+			}
+			if b < 0 {
+				b = 0
+			}
+			s.Congestion[b]++
 		}
-		if b < 0 {
-			b = 0
-		}
-		c.congestion[b].Add(1)
-	}
+	})
 }
 
-// Snapshot is a plain-value copy of the collector's counters.
+// Snapshot holds the collector's counters, and declares them: each field's
+// metric tag is its Prometheus name (behind the caller's prefix), with
+// ",gauge" for a gauge and a counter otherwise, and its help tag is the
+// HELP text. WritePrometheus renders the fields in this order.
 type Snapshot struct {
-	SSSPRuns       int64
-	HeapPushes     int64
-	NetsRouted     int64
-	NetFailures    int64
-	NetTime        time.Duration
-	MaxNetTime     time.Duration
-	Passes         int64
-	RipUps         int64
-	WidthProbes    int64
-	CandidateEvals int64
-	// Screened counts the CandidateEvals that IKMB's cost screen ruled out
-	// without building a tree.
-	Screened       int64
-	SteinerPoints  int64
-	ParallelScans  int64
-	ScanWall       time.Duration
-	ScanCPU        time.Duration
-	JobRetries     int64
-	JobPanics      int64
-	PartialResults int64
+	// SSSPRuns and HeapPushes count Dijkstra executions and their heap
+	// insertions (the router feeds deltas of its scratch's counters per net).
+	SSSPRuns    int64 `metric:"sssp_runs_total" help:"Dijkstra executions."`
+	HeapPushes  int64 `metric:"heap_pushes_total" help:"Dijkstra heap insertions."`
+	NetsRouted  int64 `metric:"nets_routed_total" help:"Successful single-net routes."`
+	NetFailures int64 `metric:"net_failures_total" help:"Failed single-net route attempts."`
+	Passes      int64 `metric:"passes_total" help:"Rip-up/re-route passes."`
+	RipUps      int64 `metric:"ripups_total" help:"Nets ripped up after failed passes."`
+	WidthProbes int64 `metric:"width_probes_total" help:"Route calls issued by channel-width searches."`
+	// Candidate-scan work of the iterated constructions: base-heuristic
+	// evaluations, the share of them IKMB's cost screen ruled out without
+	// building a tree, admitted Steiner points, and the scan rounds that
+	// fanned out over more than one worker goroutine.
+	CandidateEvals int64 `metric:"candidate_evals_total" help:"Steiner-candidate evaluations."`
+	Screened       int64 `metric:"candidates_screened_total" help:"Steiner-candidate evaluations the IKMB cost screen ruled out without building a tree."`
+	SteinerPoints  int64 `metric:"steiner_points_total" help:"Steiner points admitted."`
+	ParallelScans  int64 `metric:"parallel_scans_total" help:"Candidate-scan rounds fanned out over workers."`
+	// Service fault tolerance: retries of transiently failed jobs, worker
+	// panics recovered by per-job isolation (the routing context involved is
+	// discarded, not pooled), and interrupted runs that still surrendered a
+	// partial result.
+	JobRetries     int64 `metric:"job_retries_total" help:"Service-job retries after transient failures."`
+	JobPanics      int64 `metric:"worker_panics_total" help:"Worker panics recovered by per-job isolation."`
+	PartialResults int64 `metric:"partial_results_total" help:"Interrupted runs that returned a partial result."`
 	// Pathfinder counters: negotiated-congestion iterations, overflowed
 	// resources summed over iterations, and history-price updates applied.
-	PathfinderIters int64
-	OverflowEdges   int64
-	PriceUpdates    int64
+	PathfinderIters int64 `metric:"pathfinder_iterations_total" help:"Negotiated-congestion iterations of the parallel router."`
+	OverflowEdges   int64 `metric:"overflow_edges" help:"Overcapacity resources summed over pathfinder iterations."`
+	PriceUpdates    int64 `metric:"price_updates_total" help:"History-price sub-gradient updates applied by pathfinder reduces."`
 	// Incremental rip-up accounting: nets reconnected from a retained
 	// fragment, previous-tree edges ripped vs retained, and tree edges the
 	// delta reduce skipped walking relative to a full recount.
-	IncrementalReroutes int64
-	EdgesRipped         int64
-	EdgesRetained       int64
-	ReduceEdgesSkipped  int64
+	IncrementalReroutes int64 `metric:"incremental_reroutes_total" help:"Nets reconnected from a retained fragment by partial rip-up."`
+	EdgesRipped         int64 `metric:"edges_ripped_total" help:"Previous-tree edges discarded before rerouting."`
+	EdgesRetained       int64 `metric:"edges_retained_total" help:"Previous-tree edges kept by partial rip-up."`
+	ReduceEdgesSkipped  int64 `metric:"reduce_edges_skipped_total" help:"Tree edges the delta reduce skipped versus a full recount."`
 	// Durability counters: pathfinder checkpoints persisted, jobs recovered
 	// by journal replay, journal records replayed at startup, and appends
 	// dropped after the journal degraded to read-only.
-	CheckpointsWritten   int64
-	JobsRecovered        int64
-	JournalReplayRecords int64
-	JournalAppendErrors  int64
-	Congestion           [CongestionBuckets]int64
+	CheckpointsWritten   int64 `metric:"checkpoints_written_total" help:"Pathfinder checkpoints persisted to the durable store."`
+	JobsRecovered        int64 `metric:"jobs_recovered_total" help:"Interrupted jobs re-enqueued by journal replay at startup."`
+	JournalReplayRecords int64 `metric:"journal_replay_records_total" help:"Intact journal records read back at startup."`
+	JournalAppendErrors  int64 `metric:"journal_append_errors_total" help:"Journal appends dropped after read-only degradation."`
+	// ScanWall and ScanCPU are the parallel scans' total wall-clock and
+	// summed per-worker busy time; ScanCPU/ScanWall is the achieved scan
+	// parallelism. Sequential scans record neither.
+	ScanWall   time.Duration            `metric:"scan_wall_seconds_total" help:"Wall-clock time of parallel candidate scans."`
+	ScanCPU    time.Duration            `metric:"scan_cpu_seconds_total" help:"Summed per-worker busy time of parallel candidate scans."`
+	NetTime    time.Duration            `metric:"net_time_seconds_total" help:"Cumulative single-net routing time."`
+	MaxNetTime time.Duration            `metric:"net_time_max_seconds,gauge" help:"Slowest single-net route observed."`
+	Congestion [CongestionBuckets]int64 `metric:"span_utilization_spans" help:"Channel spans binned by utilization decile at final fabric states."`
 }
 
-// Snapshot returns a consistent-enough copy of the counters (each field is
-// read atomically; cross-field skew is possible while routing is live).
+// Snapshot returns a consistent copy of the counters.
 func (c *Collector) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{}
-	}
-	s := Snapshot{
-		SSSPRuns:       c.ssspRuns.Load(),
-		HeapPushes:     c.heapPushes.Load(),
-		NetsRouted:     c.netsRouted.Load(),
-		NetFailures:    c.netFailures.Load(),
-		NetTime:        time.Duration(c.netTimeNs.Load()),
-		MaxNetTime:     time.Duration(c.maxNetTimeNs.Load()),
-		Passes:         c.passes.Load(),
-		RipUps:         c.ripUps.Load(),
-		WidthProbes:    c.widthProbes.Load(),
-		CandidateEvals: c.candEvals.Load(),
-		Screened:       c.screened.Load(),
-		SteinerPoints:  c.steinerPts.Load(),
-		ParallelScans:  c.parScans.Load(),
-		ScanWall:       time.Duration(c.scanWallNs.Load()),
-		ScanCPU:        time.Duration(c.scanCPUNs.Load()),
-		JobRetries:     c.jobRetries.Load(),
-		JobPanics:      c.jobPanics.Load(),
-		PartialResults: c.partials.Load(),
-
-		PathfinderIters: c.pfIters.Load(),
-		OverflowEdges:   c.pfOverflow.Load(),
-		PriceUpdates:    c.pfPriceUpds.Load(),
-
-		IncrementalReroutes: c.incReroutes.Load(),
-		EdgesRipped:         c.edgesRipped.Load(),
-		EdgesRetained:       c.edgesKept.Load(),
-		ReduceEdgesSkipped:  c.reduceSkip.Load(),
-
-		CheckpointsWritten:   c.ckptWritten.Load(),
-		JobsRecovered:        c.jobsRecov.Load(),
-		JournalReplayRecords: c.jrnlReplayed.Load(),
-		JournalAppendErrors:  c.jrnlErrors.Load(),
-	}
-	for i := range c.congestion {
-		s.Congestion[i] = c.congestion[i].Load()
-	}
+	var s Snapshot
+	c.Record(func(live *Snapshot) { s = *live })
 	return s
 }
 

@@ -14,12 +14,8 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("nil collector reports enabled")
 	}
-	c.AddSSSP(3, 17)
+	c.Record(func(*Snapshot) { t.Fatal("nil collector ran a record function") })
 	c.ObserveNet(time.Millisecond, true)
-	c.AddPass()
-	c.AddRipUps(2)
-	c.AddWidthProbe()
-	c.AddCandidateWork(5, 3, 1)
 	c.RecordCongestion([]int32{1, 2}, 4)
 	if s := c.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil collector snapshot %+v", s)
@@ -28,16 +24,26 @@ func TestNilCollectorIsSafe(t *testing.T) {
 
 func TestCountersAccumulate(t *testing.T) {
 	c := New()
-	c.AddSSSP(3, 40)
-	c.AddSSSP(2, 10)
+	addSSSP := func(runs, pushes int64) {
+		c.Record(func(s *Snapshot) {
+			s.SSSPRuns += runs
+			s.HeapPushes += pushes
+		})
+	}
+	addSSSP(3, 40)
+	addSSSP(2, 10)
 	c.ObserveNet(2*time.Millisecond, true)
 	c.ObserveNet(5*time.Millisecond, false)
 	c.ObserveNet(time.Millisecond, true)
-	c.AddPass()
-	c.AddPass()
-	c.AddRipUps(4)
-	c.AddWidthProbe()
-	c.AddCandidateWork(100, 60, 7)
+	c.Record(func(s *Snapshot) { s.Passes++ })
+	c.Record(func(s *Snapshot) { s.Passes++ })
+	c.Record(func(s *Snapshot) {
+		s.RipUps += 4
+		s.WidthProbes++
+		s.CandidateEvals += 100
+		s.Screened += 60
+		s.SteinerPoints += 7
+	})
 	s := c.Snapshot()
 	if s.SSSPRuns != 5 || s.HeapPushes != 50 {
 		t.Fatalf("SSSP %d/%d", s.SSSPRuns, s.HeapPushes)
@@ -85,7 +91,8 @@ func TestCongestionHistogram(t *testing.T) {
 }
 
 // TestConcurrentRecording hammers one collector from many goroutines — the
-// sharing model of the parallel width search — and checks totals.
+// sharing model of the service's workers and the pathfinder's net workers —
+// and checks totals.
 func TestConcurrentRecording(t *testing.T) {
 	c := New()
 	const workers, per = 8, 1000
@@ -95,7 +102,10 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.AddSSSP(1, 2)
+				c.Record(func(s *Snapshot) {
+					s.SSSPRuns++
+					s.HeapPushes += 2
+				})
 				c.ObserveNet(time.Microsecond, i%2 == 0)
 			}
 		}()
@@ -112,9 +122,14 @@ func TestConcurrentRecording(t *testing.T) {
 
 func TestSnapshotString(t *testing.T) {
 	c := New()
-	c.AddSSSP(12, 345)
-	c.AddPass()
-	c.AddCandidateWork(72767, 71000, 80)
+	c.Record(func(s *Snapshot) {
+		s.SSSPRuns += 12
+		s.HeapPushes += 345
+		s.Passes++
+		s.CandidateEvals += 72767
+		s.Screened += 71000
+		s.SteinerPoints += 80
+	})
 	out := c.Snapshot().String()
 	for _, want := range []string{"router stats:", "SSSP runs", "12", "345", "congestion",
 		"candidate evals    72767 (screened 71000, Steiner points admitted 80)"} {
@@ -126,10 +141,15 @@ func TestSnapshotString(t *testing.T) {
 
 func TestSnapshotWritePrometheus(t *testing.T) {
 	c := New()
-	c.AddSSSP(12, 345)
-	c.AddPass()
-	c.AddWidthProbe()
-	c.AddCandidateWork(9, 4, 1)
+	c.Record(func(s *Snapshot) {
+		s.SSSPRuns += 12
+		s.HeapPushes += 345
+		s.Passes++
+		s.WidthProbes++
+		s.CandidateEvals += 9
+		s.Screened += 4
+		s.SteinerPoints++
+	})
 	c.ObserveNet(1500*time.Microsecond, true)
 	c.RecordCongestion([]int32{0, 5, 10}, 10)
 	var b strings.Builder
