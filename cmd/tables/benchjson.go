@@ -62,7 +62,7 @@ type BenchResult struct {
 	// one operation (from one untimed instrumented run — the searches are
 	// deterministic). It is the work metric that separates goal-directed
 	// search from plain Dijkstra beyond wall-clock noise: SSSP_AStar must
-	// expand strictly fewer nodes than SSSP_CSR/SSSP_Legacy on busc.
+	// expand strictly fewer nodes than SSSP_CSR on busc.
 	ExpandedNodesPerOp int64 `json:"expanded_nodes_per_op,omitempty"`
 	// IterationsPerOp is recorded for the RouteBuscParallel entries: the
 	// negotiated-congestion iterations one converged route performs (from
@@ -192,13 +192,12 @@ func writeBenchJSON(path string, quick bool) error {
 			}
 		}
 	}
-	// The SSSP trio times one early-stopping shortest-path sweep over real
-	// busc nets on the paper fabric: the pre-CSR adjacency walk
-	// (SSSP_Legacy), the CSR weight-stream loop (SSSP_CSR — identical
-	// results, better locality), and the goal-directed stop-set search
-	// under the fabric's coordinate bound (SSSP_AStar — identical terminal
-	// distances, strictly fewer expanded nodes). One op = one SSSP per
-	// sampled net, on a warm scratch with the SPT recycled.
+	// The SSSP pair times one early-stopping shortest-path sweep over real
+	// busc nets on the paper fabric: the CSR weight-stream loop (SSSP_CSR)
+	// and the goal-directed stop-set search under the fabric's coordinate
+	// bound (SSSP_AStar — identical terminal distances, strictly fewer
+	// expanded nodes). One op = one SSSP per sampled net, on a warm scratch
+	// with the SPT recycled.
 	fab, err := fpga.NewFabric(ckt.ArchAt(10))
 	if err != nil {
 		return err
@@ -214,43 +213,36 @@ func writeBenchJSON(path string, quick bool) error {
 			break
 		}
 	}
-	const (
-		ssspLegacy = iota
-		ssspCSR
-		ssspAStar
-	)
-	runSSSP := func(mode int, s *graph.DijkstraScratch) {
+	runSSSP := func(astar bool, s *graph.DijkstraScratch) {
 		gg := fab.Graph()
 		bnd := fab.Bounds()
 		for _, terms := range ssspNets {
 			var t *graph.SPT
-			switch mode {
-			case ssspLegacy:
-				t = gg.LegacyDijkstra(s, terms[0], terms)
-			case ssspCSR:
-				t = gg.DijkstraWithinScratch(s, terms[0], terms)
-			default:
+			if astar {
 				t = gg.DijkstraWithinBounded(s, terms[0], terms, bnd)
+			} else {
+				t = gg.DijkstraWithinScratch(s, terms[0], terms)
 			}
 			s.RecycleSPT(t)
 		}
 	}
-	benchSSSP := func(mode int) func(b *testing.B) {
+	benchSSSP := func(astar bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			s := graph.NewDijkstraScratch()
-			runSSSP(mode, s) // warm the scratch buffers before timing
+			runSSSP(astar, s) // warm the scratch buffers before timing
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runSSSP(mode, s)
+				runSSSP(astar, s)
 			}
 		}
 	}
-	ssspExpanded := func(mode int) int64 {
-		s := graph.NewDijkstraScratch()
-		before := s.Settled
-		runSSSP(mode, s)
-		return s.Settled - before
+	ssspExpanded := func(astar bool) func() int64 {
+		return func() int64 {
+			s := graph.NewDijkstraScratch()
+			runSSSP(astar, s)
+			return s.Settled
+		}
 	}
 	// The per-net pair times the searches as the routers run them, on busc
 	// at its paper width, from each of the first 32 nets' first pin to its
@@ -378,9 +370,8 @@ func writeBenchJSON(path string, quick bool) error {
 		}},
 		{name: "BenchmarkCandidateScanSeq", fn: benchScan(1), work: scanWork(1)},
 		{name: "BenchmarkCandidateScanPar", fn: benchScan(8), work: scanWork(8)},
-		{name: "BenchmarkSSSP_Legacy", fn: benchSSSP(ssspLegacy), expand: func() int64 { return ssspExpanded(ssspLegacy) }},
-		{name: "BenchmarkSSSP_CSR", fn: benchSSSP(ssspCSR), expand: func() int64 { return ssspExpanded(ssspCSR) }},
-		{name: "BenchmarkSSSP_AStar", fn: benchSSSP(ssspAStar), expand: func() int64 { return ssspExpanded(ssspAStar) }},
+		{name: "BenchmarkSSSP_CSR", fn: benchSSSP(false), expand: ssspExpanded(false)},
+		{name: "BenchmarkSSSP_AStar", fn: benchSSSP(true), expand: ssspExpanded(true)},
 		{name: "BenchmarkSSSP_RouterNet", fn: benchNets(false), expand: netsExpanded(false)},
 		{name: "BenchmarkSSSP_PathfinderNet", fn: benchNets(true), expand: netsExpanded(true)},
 	}

@@ -340,10 +340,6 @@ func (f *Fabric) NumWires() int { return len(f.wireEdges) }
 // WireOfEdge returns the wire owning edge id, or -1 for switch-block jogs.
 func (f *Fabric) WireOfEdge(id graph.EdgeID) WireID { return f.edgeWire[id] }
 
-// WireEdges returns the edges making up wire w: its channel segments plus
-// every connection-block tap onto it. The slice is shared and read-only.
-func (f *Fabric) WireEdges(w WireID) []graph.EdgeID { return f.wireEdges[w] }
-
 // PinNodeRange returns the half-open node ID range [lo, hi) holding all
 // logic-block pin nodes; every node below lo is a switch-block/track node.
 // The pathfinder uses this to block foreign pins without mutating enables.

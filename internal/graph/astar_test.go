@@ -106,6 +106,15 @@ func TestQuickDijkstraWithinBoundedExact(t *testing.T) {
 				return false
 			}
 		}
+		// A nil stop set settles everything, as DijkstraWithin's does: the
+		// bound has no goal to steer toward, so every distance is exact.
+		ref, got = g.Graph.DijkstraWithin(src, nil), g.Graph.DijkstraWithinBounded(nil, src, nil, b)
+		for v := range ref.Dist {
+			if got.Dist[v] != ref.Dist[v] {
+				t.Logf("seed %d: nil stop set: node %d dist %v vs %v", seed, v, got.Dist[v], ref.Dist[v])
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -113,12 +122,12 @@ func TestQuickDijkstraWithinBoundedExact(t *testing.T) {
 	}
 }
 
-// Property: BiDijkstraOverlay's cost is within 1e-9 of the forward overlay
-// search's (DijkstraFromOverlay; the two half-sums fold in a different
-// order), reachability agrees, and the returned path is a src→goal walk of
-// that effective cost that never enters a blocked node. Both under a zero
-// overlay and under random prices and blocked nodes, the pathfinder's
-// routing state, on graphs with disabled edges.
+// Property: BiDijkstraOverlay's cost is within 1e-9 of the forward priced
+// kernel's (the two half-sums fold in a different order), reachability
+// agrees, and the returned path is a src→goal walk of that effective cost
+// that never enters a blocked node. Both under a zero overlay and under
+// random prices and blocked nodes, the pathfinder's routing state, on
+// graphs with disabled edges.
 func TestQuickBiDijkstraExact(t *testing.T) {
 	for _, priced := range []bool{false, true} {
 		f := func(seed int64) bool {
@@ -139,7 +148,7 @@ func TestQuickBiDijkstraExact(t *testing.T) {
 					ov.Block(NodeID(v))
 				}
 			}
-			ref := g.DijkstraFromOverlay(nil, []Seed{{Node: src}}, []NodeID{goal}, ov)
+			ref := g.dijkstraFrom([]Seed{{Node: src}}, []NodeID{goal}, ov)
 			cost, path, ok := g.BiDijkstraOverlay(nil, src, goal, ov)
 			if ok != ref.Reachable(goal) {
 				t.Logf("priced=%v seed %d: ok=%v but reachable=%v", priced, seed, ok, ref.Reachable(goal))

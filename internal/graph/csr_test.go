@@ -7,8 +7,79 @@ import (
 	"testing/quick"
 )
 
+// legacyDijkstra is the pre-CSR search loop, kept as the parity oracle of
+// dijkstraWith: it traverses through the public accessors the old
+// adjacency-list layout exposed — Adj, then a per-arc Enabled check and
+// Weight load — instead of streaming the CSR weight array, skips settled
+// neighbours, and clears every unsettled label in an O(n) pass on an early
+// exit. Distances, parents and the HeapPushes/Settled increments are
+// bit-identical to dijkstraWith on any graph state: the CSR rebuild places
+// each node's arcs in edge-insertion order, exactly how the old layout's
+// appends ordered them, and the relaxation arithmetic is unchanged.
+func (g *Graph) legacyDijkstra(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
+	n := g.n
+	ep := s.beginRun(n)
+	t := s.takeSPT().reset(n, src)
+	remaining := -1 // < 0: no early termination
+	if stop != nil {
+		remaining = 0
+		for _, v := range stop {
+			if s.stop[v] != ep {
+				s.stop[v] = ep
+				remaining++
+			}
+		}
+		if s.stop[src] != ep {
+			s.stop[src] = ep
+			remaining++
+		}
+	}
+	t.Dist[src] = 0
+	s.heap = s.heap[:0]
+	q := &s.heap
+	q.push(pqItem{0, src})
+	s.HeapPushes++
+	for len(*q) > 0 {
+		it := q.pop()
+		u := it.node
+		if s.done[u] == ep {
+			continue
+		}
+		s.done[u] = ep
+		s.Settled++
+		if remaining >= 0 && s.stop[u] == ep {
+			remaining--
+			if remaining == 0 {
+				for v := 0; v < n; v++ {
+					if s.done[v] != ep {
+						t.Dist[v] = inf
+						t.ParentEdge[v] = None
+						t.ParentNode[v] = None
+					}
+				}
+				return t
+			}
+		}
+		du := t.Dist[u]
+		for _, a := range g.Adj(u) {
+			if !g.Enabled(a.ID) || s.done[a.To] == ep {
+				continue
+			}
+			nd := du + g.Weight(a.ID)
+			if nd < t.Dist[a.To] {
+				t.Dist[a.To] = nd
+				t.ParentEdge[a.To] = a.ID
+				t.ParentNode[a.To] = u
+				q.push(pqItem{nd, a.To})
+				s.HeapPushes++
+			}
+		}
+	}
+	return t
+}
+
 // Property: the CSR-streaming dijkstraWith is bit-identical to the
-// pre-refactor adjacency-walking loop (LegacyDijkstra) on arbitrary graph
+// pre-refactor adjacency-walking loop (legacyDijkstra) on arbitrary graph
 // states — distances, parents AND work counters, under random disables,
 // reweights and early-stop sets. This is the refactor's core contract: the
 // CSR rebuild places each node's arcs in edge-insertion order, exactly how
@@ -50,7 +121,7 @@ func TestQuickLegacyDijkstraParity(t *testing.T) {
 			}
 			s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
 			a := g.dijkstraWith(s1, src, stop)
-			b := g.LegacyDijkstra(s2, src, stop)
+			b := g.legacyDijkstra(s2, src, stop)
 			for v := 0; v < n; v++ {
 				if a.Dist[v] != b.Dist[v] || a.ParentEdge[v] != b.ParentEdge[v] || a.ParentNode[v] != b.ParentNode[v] {
 					t.Logf("seed %d round %d: node %d: csr (%v,%v,%v) legacy (%v,%v,%v)", seed, round, v,

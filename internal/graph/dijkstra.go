@@ -114,11 +114,7 @@ func (q *pq) pop() pqItem {
 // Dijkstra computes shortest paths from src over the enabled edges of g.
 // Ties are broken deterministically by edge insertion order, so repeated
 // runs on the same graph yield identical trees.
-func (g *Graph) Dijkstra(src NodeID) *SPT {
-	s := AcquireScratch()
-	defer ReleaseScratch(s)
-	return g.dijkstraWith(s, src, nil)
-}
+func (g *Graph) Dijkstra(src NodeID) *SPT { return g.DijkstraWithinScratch(nil, src, nil) }
 
 // DijkstraWithin computes shortest paths from src but stops as soon as
 // every node of stop has been settled; nodes not settled by then are
@@ -127,15 +123,13 @@ func (g *Graph) Dijkstra(src NodeID) *SPT {
 // early — so this is a pure optimization for callers that only query a
 // known node subset (the router's per-net caches).
 func (g *Graph) DijkstraWithin(src NodeID, stop []NodeID) *SPT {
-	s := AcquireScratch()
-	defer ReleaseScratch(s)
-	return g.dijkstraWith(s, src, stop)
+	return g.DijkstraWithinScratch(nil, src, stop)
 }
 
 // DijkstraWithinScratch is DijkstraWithin on a caller-provided scratch (nil
 // falls back to the pool): the warm-path entry for callers that manage
 // their own scratch lifetime, and the timed loop of the SSSP_CSR
-// microbenchmark (LegacyDijkstra is its baseline pair).
+// microbenchmark.
 func (g *Graph) DijkstraWithinScratch(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
 	if s == nil {
 		s = AcquireScratch()
@@ -154,14 +148,15 @@ func (g *Graph) DijkstraWithinScratch(s *DijkstraScratch, src NodeID, stop []Nod
 // them with no flag lookup; per-node arc order equals edge-insertion order
 // (see rebuildCSR), which keeps distances, parents and the heap-push/settle
 // counters bit-identical to the pre-CSR adjacency-list implementation
-// (LegacyDijkstra, retained as the parity oracle).
+// (the parity oracle in csr_test.go).
 func (g *Graph) dijkstraWith(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
 	return g.dijkstraInto(s, s.takeSPT(), src, stop, nil, inf)
 }
 
 // dijkstraInto is dijkstraWith writing into t, whose buffers it resizes
-// and reinitializes; the searches below take their tree the same way, so
-// a cache can run them on another goroutine's scratch (SPTCache.Warm).
+// and reinitializes; the priced kernel (search) takes its tree the same
+// way, so a cache can run either on another goroutine's scratch
+// (SPTCache.Warm).
 // A non-nil pause set pauses the search as soon as every node of it in
 // the graph is settled, and radius bounds it by key (see settle).
 func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop, pause []NodeID, radius float64) *SPT {
@@ -333,9 +328,9 @@ type SPTCache struct {
 	// lookups fall through to its trees, writes stay private (see Fork).
 	base *SPTCache
 	// bounds, when non-nil alongside a stop set, turns cache misses into
-	// goal-directed searches (DijkstraWithinBounded): expansion is biased
-	// toward the stop set by an admissible lower bound. Distances to stop
-	// nodes stay exact; see WithBounds for the tie-break caveat.
+	// goal-directed searches: expansion is biased toward the stop set by an
+	// admissible lower bound. Distances to stop nodes stay exact; see
+	// WithBounds for the tie-break caveat.
 	bounds *CoordBounds
 	// overlay, when non-nil, prices and blocks the cache's searches without
 	// mutating g (see Overlay); EdgeWeight reads through it so that tree
@@ -370,11 +365,12 @@ func (c *SPTCache) WithScratch(s *DijkstraScratch) *SPTCache {
 }
 
 // WithBounds guides the cache's searches with an admissible lower bound
-// (see CoordBounds): each miss runs DijkstraWithinBounded toward the stop
-// set instead of plain DijkstraWithin, settling fewer nodes. Requires a
-// stop set (caches without one settle the whole graph, where goal
-// direction cannot help); b must be admissible and consistent for the
-// current graph state or distances would come out wrong.
+// (see CoordBounds): each miss searches toward the stop set as
+// DijkstraWithinBounded does, settling fewer nodes than plain
+// DijkstraWithin. Only a cache with a stop set is guided (a search of the
+// whole graph gains nothing from goal direction); b must be admissible and
+// consistent for the current graph state or distances would come out
+// wrong.
 //
 // Exactness contract: distances to stop nodes are exact and, with a
 // consistent bound, bit-identical to the unbounded cache's; parents (and
@@ -496,19 +492,20 @@ func (c *SPTCache) Tree(src NodeID) *SPT {
 }
 
 // search runs the cache's configured search from src on scratch s, into
-// t. Only the plain search pauses at pause (when non-nil) and honours the
-// radius.
+// t. A cache with neither overlay nor bounds runs the plain loop, the only
+// one that pauses at pause (when non-nil) and honours the radius; any
+// other runs the priced kernel, guided by the bounds when it has a stop
+// set.
 func (c *SPTCache) search(s *DijkstraScratch, t *SPT, src NodeID, pause []NodeID) *SPT {
-	switch {
-	case c.overlay != nil && c.bounds != nil && c.stop != nil:
-		return c.g.goalDirectedOverlay(s, t, src, c.stop, c.overlay, c.bounds.ToSet(c.stop))
-	case c.overlay != nil:
-		return c.g.dijkstraOverlayWith(s, t, src, c.stop, c.overlay)
-	case c.bounds != nil && c.stop != nil:
-		return c.g.goalDirected(s, t, src, c.stop, c.bounds.ToSet(c.stop))
-	default:
+	if c.overlay == nil && c.bounds == nil {
 		return c.g.dijkstraInto(s, t, src, c.stop, pause, c.keyRadius())
 	}
+	q := query{src: src, stop: c.stop, ov: c.overlay}
+	if c.bounds != nil && c.stop != nil {
+		q.h = c.bounds.ToSet(c.stop)
+	}
+	c.g.search(s, t, q)
+	return t
 }
 
 // Warm caches the tree rooted at every node of srcs that the cache lacks,

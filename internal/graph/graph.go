@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/bits"
 )
 
 // NodeID identifies a node in a Graph. Nodes are dense integers in [0, N).
@@ -405,15 +404,6 @@ func (g *Graph) Clone() *Graph {
 		pinLo:   g.pinLo,
 		tails:   append([]pinTail(nil), g.tails...),
 	}
-}
-
-// EnabledEdgeCount returns the number of currently enabled edges.
-func (g *Graph) EnabledEdgeCount() int {
-	c := 0
-	for _, word := range g.enabled {
-		c += bits.OnesCount64(word)
-	}
-	return c
 }
 
 // TotalWeight returns the sum of the weights of the given edges.

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// dijkstraFrom runs the priced kernel from seeds on a fresh scratch,
+// unpriced for a nil ov: Dist[v] is the minimum over seeds of seed.Dist
+// plus the seed-to-v path cost. A non-nil stop set ends the search once
+// every stop node has settled; the tree's Source is the first seed (None
+// for no seeds), and seed nodes carry ParentEdge None.
+func (g *Graph) dijkstraFrom(seeds []Seed, stop []NodeID, ov *Overlay) *SPT {
+	s, t := NewDijkstraScratch(), new(SPT)
+	g.search(s, t, query{src: None, seeds: seeds, stop: stop, ov: ov})
+	return t
+}
+
 // TestQuickDijkstraFromMatchesPerSeedOracle checks the defining property of
 // the multi-source search on random connected graphs: Dist[v] equals the
 // minimum over seeds of seed.Dist + d(seed.Node, v), with d taken from
@@ -21,7 +32,7 @@ func TestQuickDijkstraFromMatchesPerSeedOracle(t *testing.T) {
 		for i := range seeds {
 			seeds[i] = Seed{Node: NodeID(perm[i]), Dist: float64(rng.Intn(3))}
 		}
-		got := g.DijkstraFrom(nil, seeds, nil)
+		got := g.dijkstraFrom(seeds, nil, nil)
 		for v := 0; v < n; v++ {
 			want := math.Inf(1)
 			for _, sd := range seeds {
@@ -59,9 +70,9 @@ func TestQuickDijkstraFromMatchesPerSeedOracle(t *testing.T) {
 	}
 }
 
-// TestQuickDijkstraFromOverlayMatchesBakedWeights compares the overlay
-// variant against DijkstraFrom on a clone with the prices folded into the
-// base weights.
+// TestQuickDijkstraFromOverlayMatchesBakedWeights compares the priced
+// seeded search against the unpriced one on a clone with the prices folded
+// into the base weights.
 func TestQuickDijkstraFromOverlayMatchesBakedWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
@@ -75,8 +86,8 @@ func TestQuickDijkstraFromOverlayMatchesBakedWeights(t *testing.T) {
 			baked.AddWeight(EdgeID(id), p)
 		}
 		seeds := []Seed{{Node: NodeID(rng.Intn(n))}, {Node: NodeID(rng.Intn(n)), Dist: 2}}
-		got := g.DijkstraFromOverlay(nil, seeds, nil, ov)
-		want := baked.DijkstraFrom(nil, seeds, nil)
+		got := g.dijkstraFrom(seeds, nil, ov)
+		want := baked.dijkstraFrom(seeds, nil, nil)
 		for v := 0; v < n; v++ {
 			if math.Abs(got.Dist[NodeID(v)]-want.Dist[NodeID(v)]) > 1e-9 {
 				t.Fatalf("trial %d: Dist[%d] = %g, want %g", trial, v, got.Dist[v], want.Dist[v])
@@ -89,7 +100,7 @@ func TestQuickDijkstraFromOverlayMatchesBakedWeights(t *testing.T) {
 // pathfinder reconnects orphaned pins with: AStarFromAnyOverlay guided by
 // the grid's coordinate bound toward the stop set (as the pathfinder
 // guides it with the fabric's) returns a stop node at exactly the minimum
-// multi-source distance DijkstraFrom reports over the stop set.
+// multi-source distance the seeded search reports over the stop set.
 func TestQuickAStarFromExactOnGrids(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 10; trial++ {
@@ -105,7 +116,7 @@ func TestQuickAStarFromExactOnGrids(t *testing.T) {
 		seeds := []Seed{{Node: NodeID(rng.Intn(n))}, {Node: NodeID(rng.Intn(n))}}
 		stop := []NodeID{NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
 		goal, got := g.Graph.AStarFromAnyOverlay(nil, seeds, stop, NewOverlay(g.Graph), b.ToSet(stop))
-		want := g.Graph.DijkstraFrom(nil, seeds, stop)
+		want := g.Graph.dijkstraFrom(seeds, stop, nil)
 		best := math.Inf(1)
 		for _, v := range stop {
 			best = math.Min(best, want.Dist[v])
@@ -135,7 +146,7 @@ func TestQuickAStarFromAnyReturnsNearestGoal(t *testing.T) {
 		seeds := []Seed{{Node: NodeID(perm[0])}, {Node: NodeID(perm[1])}}
 		goals := []NodeID{NodeID(perm[2]), NodeID(perm[3]), NodeID(perm[4])}
 		goal, spt := g.AStarFromAnyOverlay(nil, seeds, goals, ov, nil)
-		oracle := g.DijkstraFromOverlay(nil, seeds, nil, ov)
+		oracle := g.dijkstraFrom(seeds, nil, ov)
 		best := math.Inf(1)
 		for _, v := range goals {
 			if oracle.Dist[v] < best {
@@ -160,13 +171,13 @@ func TestQuickAStarFromAnyReturnsNearestGoal(t *testing.T) {
 func TestDijkstraFromDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := RandomConnected(rng, 40, 120, 8)
-	empty := g.DijkstraFrom(nil, nil, nil)
+	empty := g.dijkstraFrom(nil, nil, nil)
 	for v := 0; v < g.NumNodes(); v++ {
 		if empty.Reachable(NodeID(v)) {
 			t.Fatalf("empty seed set reached node %d", v)
 		}
 	}
-	one := g.DijkstraFrom(nil, []Seed{{Node: 7}}, nil)
+	one := g.dijkstraFrom([]Seed{{Node: 7}}, nil, nil)
 	ref := g.Dijkstra(7)
 	for v := 0; v < g.NumNodes(); v++ {
 		if one.Dist[NodeID(v)] != ref.Dist[NodeID(v)] {

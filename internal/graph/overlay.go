@@ -59,83 +59,9 @@ func (o *Overlay) Blocked(v NodeID) bool {
 	return o.blocked[v>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// BlockedWords exposes the blocked bitset as 64-bit words (node v is bit
-// v&63 of word v>>6), for callers that maintain a reusable template.
-func (o *Overlay) BlockedWords() []uint64 { return o.blocked }
-
 // LoadBlocked overwrites the blocked bitset from a template of the same
 // word length (the pathfinder's all-pins-blocked template, per net).
 func (o *Overlay) LoadBlocked(words []uint64) { copy(o.blocked, words) }
-
-// dijkstraOverlayWith is dijkstraWith under an overlay: identical control
-// flow (early stop once the stop set is settled, deterministic tie-breaks by
-// arc order), with each arc's weight read as base + price and relaxations
-// into blocked nodes skipped. The source must not be blocked.
-func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, t *SPT, src NodeID, stop []NodeID, ov *Overlay) *SPT {
-	faultpoint.Check(faultpoint.SSSPExpand)
-	g.ensureCSR()
-	n := g.n
-	ep := s.beginRun(n)
-	t.reset(n, src)
-	remaining := -1
-	if stop != nil {
-		remaining = 0
-		for _, v := range stop {
-			if s.stop[v] != ep {
-				s.stop[v] = ep
-				remaining++
-			}
-		}
-		if s.stop[src] != ep {
-			s.stop[src] = ep
-			remaining++
-		}
-	}
-	price := ov.price
-	blocked := ov.blocked
-	g.markPinNeighbours(s, blocked, ep)
-	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{0, src})
-	s.HeapPushes++
-	for len(*q) > 0 {
-		it := q.pop()
-		u := it.node
-		if s.done[u] == ep {
-			continue
-		}
-		s.done[u] = ep
-		s.Settled++
-		t.settled = append(t.settled, u)
-		if remaining >= 0 && s.stop[u] == ep {
-			remaining--
-			if remaining == 0 {
-				return t.finish(*q, s.done, ep)
-			}
-		}
-		du := t.Dist[u]
-		lo, hi := g.offsets[u], g.overlayScanEnd(s, u, ep)
-		as := g.arcs[lo:hi]
-		ws := g.arcw[lo:hi]
-		ws = ws[:len(as)]
-		for k := range as {
-			to := as[k].To
-			if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-				continue
-			}
-			nd := du + ws[k] + price[as[k].ID]
-			if nd < t.Dist[to] {
-				t.Dist[to] = nd
-				t.ParentEdge[to] = as[k].ID
-				t.ParentNode[to] = u
-				q.push(pqItem{nd, to})
-				s.HeapPushes++
-			}
-		}
-	}
-	return t.finish(nil, s.done, ep)
-}
 
 // markPinNeighbours opens an overlay search's pin tails (see
 // SetPinBoundary): it stamps ep into s.pinNbr for every node with an arc
@@ -176,72 +102,6 @@ func (g *Graph) overlayScanEnd(s *DijkstraScratch, u NodeID, ep uint32) int32 {
 	return g.offsets[u+1]
 }
 
-// goalDirectedOverlay is goalDirected under an overlay: A* toward the stop
-// set with heap keys Dist + h over priced effective weights. h must be
-// admissible and consistent for base + price (non-negative prices keep any
-// base-admissible bound valid, since effective weights only grow).
-func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, t *SPT, src NodeID, stop []NodeID, ov *Overlay, h func(NodeID) float64) *SPT {
-	faultpoint.Check(faultpoint.SSSPExpand)
-	g.ensureCSR()
-	n := g.n
-	ep := s.beginRun(n)
-	t.reset(n, src)
-	remaining := 0
-	for _, v := range stop {
-		if s.stop[v] != ep {
-			s.stop[v] = ep
-			remaining++
-		}
-	}
-	if s.stop[src] != ep {
-		s.stop[src] = ep
-		remaining++
-	}
-	price := ov.price
-	blocked := ov.blocked
-	g.markPinNeighbours(s, blocked, ep)
-	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{h(src), src})
-	s.HeapPushes++
-	for len(*q) > 0 {
-		u := q.pop().node
-		if s.done[u] == ep {
-			continue
-		}
-		s.done[u] = ep
-		s.Settled++
-		t.settled = append(t.settled, u)
-		if s.stop[u] == ep {
-			remaining--
-			if remaining == 0 {
-				return t.finish(*q, s.done, ep)
-			}
-		}
-		du := t.Dist[u]
-		lo, hi := g.offsets[u], g.overlayScanEnd(s, u, ep)
-		as := g.arcs[lo:hi]
-		ws := g.arcw[lo:hi]
-		ws = ws[:len(as)]
-		for k := range as {
-			to := as[k].To
-			if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-				continue
-			}
-			nd := du + ws[k] + price[as[k].ID]
-			if nd < t.Dist[to] {
-				t.Dist[to] = nd
-				t.ParentEdge[to] = as[k].ID
-				t.ParentNode[to] = u
-				q.push(pqItem{nd + h(to), to})
-				s.HeapPushes++
-			}
-		}
-	}
-	return t.finish(nil, s.done, ep)
-}
-
 // BiDijkstraOverlay computes one shortest path between src and goal under
 // an overlay — priced effective weights, never entering blocked nodes — by
 // growing Dijkstra balls from both ends simultaneously, settling roughly
@@ -267,8 +127,8 @@ func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Over
 	}
 	n := g.n
 	ep := s.beginRun(n)
-	tf := s.acquireSPT(n, src)
-	tb := s.acquireSPT(n, goal)
+	tf := s.takeSPT().reset(n, src)
+	tb := s.takeSPT().reset(n, goal)
 	defer func() {
 		s.RecycleSPT(tb)
 		s.RecycleSPT(tf)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,10 +188,12 @@ type kernelCase struct {
 	run  func(g *Graph, s *DijkstraScratch) searchRun
 }
 
-// kernelCases returns every production search kernel, plain and overlay,
-// applied to one query: source src, goal for the point-to-point search,
-// stop set stop (src and goal unblocked in ov), seeds for the multi-source
-// searches, and the admissible bound b.
+// kernelCases returns every search loop applied to one query: the plain
+// loop with and without a stop set, the priced kernel under each
+// combination of seeds, overlay, heuristic and first-goal stop listed
+// below, and BiDijkstraOverlay. The query is source src, goal for the point-to-point search, stop set stop
+// (src and goal unblocked in ov), seeds for the multi-source searches, and
+// the admissible bound b.
 func kernelCases(src, goal NodeID, stop []NodeID, seeds []Seed, ov *Overlay, b *CoordBounds) []kernelCase {
 	counted := func(s *DijkstraScratch, f func() searchRun) searchRun {
 		settled, pushes := s.Settled, s.HeapPushes
@@ -198,31 +201,44 @@ func kernelCases(src, goal NodeID, stop []NodeID, seeds []Seed, ov *Overlay, b *
 		r.settled, r.pushes = s.Settled-settled, s.HeapPushes-pushes
 		return r
 	}
+	// orphans are the stop nodes no seed starts on: the goals the
+	// pathfinder's reconnection searches for, which never hold a seed.
+	orphans := []NodeID{}
+	for _, v := range stop {
+		if !slices.ContainsFunc(seeds, func(sd Seed) bool { return sd.Node == v }) {
+			orphans = append(orphans, v)
+		}
+	}
 	tree := func(f func(g *Graph, s *DijkstraScratch) *SPT) func(*Graph, *DijkstraScratch) searchRun {
 		return func(g *Graph, s *DijkstraScratch) searchRun {
 			return counted(s, func() searchRun { return searchRun{tree: f(g, s), goal: None} })
 		}
 	}
+	kernel := func(q query) func(*Graph, *DijkstraScratch) searchRun {
+		return tree(func(g *Graph, s *DijkstraScratch) *SPT {
+			t := s.takeSPT()
+			g.search(s, t, q)
+			return t
+		})
+	}
 	return []kernelCase{
 		{"dijkstra", tree(func(g *Graph, s *DijkstraScratch) *SPT { return g.dijkstraWith(s, src, nil) })},
 		{"dijkstra-within", tree(func(g *Graph, s *DijkstraScratch) *SPT { return g.dijkstraWith(s, src, stop) })},
-		{"goal-directed", tree(func(g *Graph, s *DijkstraScratch) *SPT {
-			return g.goalDirected(s, s.takeSPT(), src, stop, b.ToSet(stop))
-		})},
-		{"dijkstra-from", tree(func(g *Graph, s *DijkstraScratch) *SPT { return g.DijkstraFrom(s, seeds, stop) })},
-		{"overlay", tree(func(g *Graph, s *DijkstraScratch) *SPT { return g.dijkstraOverlayWith(s, s.takeSPT(), src, nil, ov) })},
-		{"overlay-within", tree(func(g *Graph, s *DijkstraScratch) *SPT {
-			return g.dijkstraOverlayWith(s, s.takeSPT(), src, stop, ov)
-		})},
-		{"goal-directed-overlay", tree(func(g *Graph, s *DijkstraScratch) *SPT {
-			return g.goalDirectedOverlay(s, s.takeSPT(), src, stop, ov, b.ToSet(stop))
-		})},
-		{"dijkstra-from-overlay", tree(func(g *Graph, s *DijkstraScratch) *SPT {
-			return g.DijkstraFromOverlay(s, seeds, stop, ov)
-		})},
+		{"goal-directed", kernel(query{src: src, stop: stop, h: b.ToSet(stop)})},
+		{"dijkstra-from", kernel(query{src: None, seeds: seeds, stop: stop})},
+		{"overlay", kernel(query{src: src, ov: ov})},
+		{"overlay-within", kernel(query{src: src, stop: stop, ov: ov})},
+		{"goal-directed-overlay", kernel(query{src: src, stop: stop, ov: ov, h: b.ToSet(stop)})},
+		{"dijkstra-from-overlay", kernel(query{src: None, seeds: seeds, stop: stop, ov: ov})},
 		{"astar-from-any-overlay", func(g *Graph, s *DijkstraScratch) searchRun {
 			return counted(s, func() searchRun {
 				v, t := g.AStarFromAnyOverlay(s, seeds, stop, ov, b.ToSet(stop))
+				return searchRun{tree: t, goal: v}
+			})
+		}},
+		{"astar-from-any-overlay-orphans", func(g *Graph, s *DijkstraScratch) searchRun {
+			return counted(s, func() searchRun {
+				v, t := g.AStarFromAnyOverlay(s, seeds, orphans, ov, b.ToSet(orphans))
 				return searchRun{tree: t, goal: v}
 			})
 		}},

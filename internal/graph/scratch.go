@@ -132,10 +132,10 @@ func (s *DijkstraScratch) openEpoch(n int) uint32 {
 	return s.ep
 }
 
-// markStop stamps every node of stop, and src, as a stop node of epoch ep
-// and returns how many distinct nodes that is: the count a search settles
-// before it may finish early. A nil stop set returns -1 (settle
-// everything).
+// markStop stamps every node of stop, and src unless it is None, as a
+// stop node of epoch ep and returns how many distinct nodes that is: the
+// count a search settles before it may finish early. A nil stop set
+// returns -1 (settle everything).
 func (s *DijkstraScratch) markStop(stop []NodeID, src NodeID, ep uint32) int {
 	if stop == nil {
 		return -1
@@ -147,17 +147,11 @@ func (s *DijkstraScratch) markStop(stop []NodeID, src NodeID, ep uint32) int {
 			remaining++
 		}
 	}
-	if s.stop[src] != ep {
+	if src != None && s.stop[src] != ep {
 		s.stop[src] = ep
 		remaining++
 	}
 	return remaining
-}
-
-// acquireSPT pops a recycled tree (or allocates one), sizes it for an
-// n-node graph and initializes every label to unreachable.
-func (s *DijkstraScratch) acquireSPT(n int, src NodeID) *SPT {
-	return s.takeSPT().reset(n, src)
 }
 
 // takeSPT pops a recycled tree, or allocates an empty one; its labels are

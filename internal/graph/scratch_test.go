@@ -62,7 +62,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// interrupted runs a goal-directed overlay search on s whose bound panics
+// interrupted runs a goal-directed priced search on s whose bound panics
 // after a few relaxations, then recycles its half-labelled tree into s.
 func interrupted(g *Graph, s *DijkstraScratch, src NodeID, stop []NodeID, ov *Overlay) {
 	t := s.takeSPT()
@@ -71,12 +71,12 @@ func interrupted(g *Graph, s *DijkstraScratch, src NodeID, stop []NodeID, ov *Ov
 		s.RecycleSPT(t)
 	}()
 	calls := 0
-	g.goalDirectedOverlay(s, t, src, stop, ov, func(NodeID) float64 {
+	g.search(s, t, query{src: src, stop: stop, ov: ov, h: func(NodeID) float64 {
 		if calls++; calls > 3 {
 			panic("interrupted search")
 		}
 		return 0
-	})
+	}})
 }
 
 // TestScratchStopSetMatchesFresh exercises the early-termination path
@@ -165,13 +165,18 @@ func TestScratchEpochWrap(t *testing.T) {
 	p := newPinGrid(6, true)
 	ov := NewOverlay(p.Graph)
 	s = NewDijkstraScratch()
-	s.RecycleSPT(p.dijkstraOverlayWith(s, s.takeSPT(), 0, nil, ov))
+	overlaySearch := func() {
+		t := s.takeSPT()
+		p.search(s, t, query{src: 0, ov: ov})
+		s.RecycleSPT(t)
+	}
+	overlaySearch()
 	open := p.Lo
 	for v := p.Lo + 1; v < NodeID(p.NumNodes()); v++ {
 		ov.Block(v)
 	}
 	s.ep = ^uint32(0)
-	s.RecycleSPT(p.dijkstraOverlayWith(s, s.takeSPT(), 0, nil, ov))
+	overlaySearch()
 	nbr := make([]bool, p.NumNodes())
 	for _, a := range p.Adj(open) {
 		nbr[a.To] = true

@@ -18,8 +18,9 @@ func paperSpecs() []circuits.Spec {
 // suite for the goal-directed searches the pathfinder routes with: on every
 // paper circuit's fabric, for a sample of real nets, the A*-guided stop-set
 // search (to all terminals, and point to point) and bidirectional Dijkstra
-// under a zero overlay must agree with the pre-refactor reference loop
-// (LegacyDijkstra) on every terminal distance. This pins the admissibility
+// under a zero overlay must agree with plain Dijkstra
+// (DijkstraWithinScratch, which the graph package's parity suite pins to
+// the pre-CSR loop) on every terminal distance. This pins the admissibility
 // of the fabric bound on real geometry — congestion-free here; the
 // congested case is covered by the fpga bounds tests, and priced overlays
 // by the graph tests and the parallel golden routes.
@@ -45,22 +46,22 @@ func TestGoalDirectedDistanceParityPaperCircuits(t *testing.T) {
 					terms[j] = fab.PinNode(p)
 				}
 				src := terms[0]
-				ref := g.LegacyDijkstra(nil, src, terms)
+				ref := g.DijkstraWithinScratch(nil, src, terms)
 				bounded := g.DijkstraWithinBounded(nil, src, terms, b)
 				for _, v := range terms {
 					if ref.Dist[v] != bounded.Dist[v] {
-						t.Fatalf("net %d terminal %d: bounded %v vs legacy %v", i, v, bounded.Dist[v], ref.Dist[v])
+						t.Fatalf("net %d terminal %d: bounded %v vs plain %v", i, v, bounded.Dist[v], ref.Dist[v])
 					}
 				}
 				goal := terms[len(terms)-1]
 				ast := g.DijkstraWithinBounded(nil, src, []graph.NodeID{goal}, b)
 				if ast.Dist[goal] != ref.Dist[goal] {
-					t.Fatalf("net %d: A* %v vs legacy %v", i, ast.Dist[goal], ref.Dist[goal])
+					t.Fatalf("net %d: A* %v vs plain %v", i, ast.Dist[goal], ref.Dist[goal])
 				}
 				if src != goal {
 					cost, _, ok := g.BiDijkstraOverlay(nil, src, goal, ov)
 					if !ok || math.Abs(cost-ref.Dist[goal]) > 1e-9 {
-						t.Fatalf("net %d: bidijkstra (%v,%v) vs legacy %v", i, cost, ok, ref.Dist[goal])
+						t.Fatalf("net %d: bidijkstra (%v,%v) vs plain %v", i, cost, ok, ref.Dist[goal])
 					}
 				}
 			}
@@ -91,7 +92,7 @@ func TestGoalDirectedExpandsFewerBusc(t *testing.T) {
 		for j, p := range net.Pins {
 			terms[j] = fab.PinNode(p)
 		}
-		plain := g.LegacyDijkstra(sp, terms[0], terms)
+		plain := g.DijkstraWithinScratch(sp, terms[0], terms)
 		bounded := g.DijkstraWithinBounded(sb, terms[0], terms, b)
 		for _, v := range terms {
 			if plain.Dist[v] != bounded.Dist[v] {

@@ -45,6 +45,9 @@ func MinWidthContext(cc context.Context, ctx *Context, ckt *circuits.Circuit, st
 // found so far alongside the error (matching ErrCanceled under errors.Is);
 // one canceled before any width routed returns (0, nil, err).
 func MinWidthCtx(ctx *Context, ckt *circuits.Circuit, start int, opts Options) (int, *Result, error) {
+	if err := opts.CheckAlgorithms(); err != nil {
+		return 0, nil, err
+	}
 	ctx, done := ensureContext(ctx)
 	defer done()
 	if start < 1 {

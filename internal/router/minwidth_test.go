@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"fpgarouter/internal/circuits"
@@ -92,8 +93,9 @@ func TestMinWidthIsMinimal(t *testing.T) {
 // move-to-front disabled keeps low widths failing for several steps, so
 // the search has to skip past genuine ErrUnroutable outcomes before it
 // settles; its answer must still equal a direct route at that width. A
-// construction that fails every net exhausts the width limit instead, with
-// the limit in the error text.
+// net that fails at every width (it names one pin twice, which
+// steiner.CheckNet rejects in every construction) exhausts the width limit
+// instead, with the limit in the error text.
 func TestMinWidthHardStartParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routes many widths")
@@ -107,7 +109,10 @@ func TestMinWidthHardStartParity(t *testing.T) {
 	checkMinimal(t, ckt, opts, w, res)
 
 	// The search gives up one width past 4*start+64.
-	_, res, err = MinWidth(ckt, 1, Options{Algorithm: "none", MaxPasses: 1})
+	bad := *ckt
+	bad.Nets = slices.Clone(ckt.Nets)
+	bad.Nets[0].Pins = append(slices.Clone(bad.Nets[0].Pins), bad.Nets[0].Pins[0])
+	_, res, err = MinWidth(&bad, 1, Options{MaxPasses: 1})
 	want := fmt.Sprintf("router: %s unroutable up to width %d", ckt.Name, 4*1+64+1)
 	if err == nil || err.Error() != want || res != nil {
 		t.Fatalf("width-limit error %v (result %v), want %q", err, res, want)

@@ -285,6 +285,9 @@ func RouteWithFabricContext(cc context.Context, ctx *Context, ckt *circuits.Circ
 
 // RouteWithFabricCtx is RouteWithFabric with an explicit routing context.
 func RouteWithFabricCtx(ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
+	if err := opts.CheckAlgorithms(); err != nil {
+		return nil, nil, err
+	}
 	ctx, done := ensureContext(ctx)
 	defer done()
 	opts = opts.withDefaults()
@@ -480,89 +483,90 @@ const maxPool = 1024
 // context's pooled scratch and released on return, so its SPT buffers are
 // recycled for the next net instead of feeding the garbage collector.
 func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (graph.Tree, error) {
-	// Terminal-only algorithms settle just the net's pins; the rest also
-	// settle the Steiner-candidate pool so candidate evaluations stay exact.
-	var needsPool bool
-	switch opts.Algorithm {
-	case AlgKMB, AlgDJKA, AlgDOM:
-		needsPool = false
-	case AlgIKMB:
-		// IKMB scans no candidate for a net of at most two pins
-		// (core.IKMBStats), so its one search may stop at the other pin:
-		// a stop set only ends a search, and the path to the second pin
-		// settles before it, so the route is the same.
-		needsPool = len(net.Pins) > 2
-	case AlgSPH, AlgZEL, AlgPFA, AlgISPH, AlgIZEL, AlgIDOM:
-		needsPool = true
-	default:
-		return graph.Tree{}, fmt.Errorf("router: unknown algorithm %q", opts.Algorithm)
-	}
+	alg := algorithms[opts.Algorithm] // a known name: see CheckAlgorithms
 	fab.BeginNet(net.Pins)
 	terms := pinNodes(fab, net.Pins)
-	var cache *graph.SPTCache
 	var pool []graph.NodeID
-	if needsPool {
-		pool = candidatePool(fab, net, opts.BBoxMargin)
-		cache = poolCache(fab, terms, pool)
-	} else {
-		cache = termCache(fab, terms)
+	stop := terms
+	if alg.needsPool(len(net.Pins)) {
+		pool = fab.SteinerPool(net.Pins, opts.BBoxMargin, maxPool)
+		stop = append(append(make([]graph.NodeID, 0, len(terms)+len(pool)), terms...), pool...)
 	}
-	cache = ctx.attach(cache)
+	cache := ctx.attach(graph.NewSPTCacheWithin(fab.Graph(), stop))
 	defer cache.Release()
-	iterOpts := core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers}
-	switch opts.Algorithm {
-	case AlgKMB:
-		return steiner.KMB(cache, terms)
-	case AlgDJKA:
-		return arbor.DJKA(cache, terms)
-	case AlgDOM:
-		return arbor.DOM(cache, terms)
-	case AlgSPH:
-		return steiner.SPH(cache, terms)
-	case AlgZEL:
-		return steiner.ZELRestricted(cache, terms, pool)
-	case AlgPFA:
-		return arbor.PFA(cache, terms)
-	case AlgIKMB:
-		tree, st, err := core.IKMBStats(cache, terms, iterOpts)
-		ctx.Stats.Record(st.AddTo)
-		return tree, err
-	case AlgISPH:
-		tree, st, err := core.IGMSTStats(cache, terms, steiner.SPH, iterOpts)
-		ctx.Stats.Record(st.AddTo)
-		return tree, err
-	case AlgIZEL:
+	tree, st, err := alg.build(cache, terms, pool, core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers})
+	ctx.Stats.Record(st.AddTo)
+	return tree, err
+}
+
+// construction builds a net's tree from its per-net cache, its pin nodes
+// and its Steiner-candidate pool (nil when the cache does not settle it),
+// with the work counters of an iterated construction (zero otherwise).
+type construction func(cache *graph.SPTCache, terms, pool []graph.NodeID, o core.Options) (graph.Tree, core.Stats, error)
+
+// algorithms is the one list of names Options.Algorithm and
+// CriticalAlgorithm accept, each with its construction and whether its
+// searches settle the candidate pool for a net of n pins: CheckAlgorithms
+// validates against it and routeNet dispatches through it.
+// Terminal-only constructions settle just the net's pins; the rest also
+// settle the pool, so candidate evaluations stay exact. IKMB scans no
+// candidate for a net of at most two pins (core.IKMBStats), so its one
+// search may stop at the other pin: a stop set only ends a search, and the
+// path to the second pin settles before it, so the route is the same.
+var algorithms = map[string]struct {
+	needsPool func(n int) bool
+	build     construction
+}{
+	AlgKMB:  {never, plain(steiner.KMB)},
+	AlgDJKA: {never, plain(arbor.DJKA)},
+	AlgDOM:  {never, plain(arbor.DOM)},
+	AlgSPH:  {always, plain(steiner.SPH)},
+	AlgPFA:  {always, plain(arbor.PFA)},
+	AlgZEL: {always, func(cache *graph.SPTCache, terms, pool []graph.NodeID, _ core.Options) (graph.Tree, core.Stats, error) {
+		tree, err := steiner.ZELRestricted(cache, terms, pool)
+		return tree, core.Stats{}, err
+	}},
+	AlgIKMB: {func(n int) bool { return n > 2 }, func(cache *graph.SPTCache, terms, _ []graph.NodeID, o core.Options) (graph.Tree, core.Stats, error) {
+		return core.IKMBStats(cache, terms, o)
+	}},
+	AlgISPH: {always, func(cache *graph.SPTCache, terms, _ []graph.NodeID, o core.Options) (graph.Tree, core.Stats, error) {
+		return core.IGMSTStats(cache, terms, steiner.SPH, o)
+	}},
+	AlgIZEL: {always, func(cache *graph.SPTCache, terms, pool []graph.NodeID, o core.Options) (graph.Tree, core.Stats, error) {
 		zel := func(c *graph.SPTCache, n []graph.NodeID) (graph.Tree, error) {
 			return steiner.ZELRestricted(c, n, pool)
 		}
-		tree, st, err := core.IGMSTStats(cache, terms, zel, iterOpts)
-		ctx.Stats.Record(st.AddTo)
-		return tree, err
-	default: // AlgIDOM
-		tree, st, err := core.IDOMStats(cache, terms, iterOpts)
-		ctx.Stats.Record(st.AddTo)
-		return tree, err
+		return core.IGMSTStats(cache, terms, zel, o)
+	}},
+	AlgIDOM: {always, func(cache *graph.SPTCache, terms, _ []graph.NodeID, o core.Options) (graph.Tree, core.Stats, error) {
+		return core.IDOMStats(cache, terms, o)
+	}},
+}
+
+func never(int) bool  { return false }
+func always(int) bool { return true }
+
+// plain adapts a construction that reads only the cache and the pins.
+func plain(f func(*graph.SPTCache, []graph.NodeID) (graph.Tree, error)) construction {
+	return func(cache *graph.SPTCache, terms, _ []graph.NodeID, _ core.Options) (graph.Tree, core.Stats, error) {
+		tree, err := f(cache, terms)
+		return tree, core.Stats{}, err
 	}
 }
 
-// termCache returns a per-net cache that settles only the net's terminals.
-func termCache(fab *fpga.Fabric, terms []graph.NodeID) *graph.SPTCache {
-	return graph.NewSPTCacheWithin(fab.Graph(), terms)
-}
-
-// poolCache returns a per-net cache that settles the terminals plus the
-// Steiner-candidate pool.
-func poolCache(fab *fpga.Fabric, terms []graph.NodeID, pool []graph.NodeID) *graph.SPTCache {
-	stop := make([]graph.NodeID, 0, len(terms)+len(pool))
-	stop = append(stop, terms...)
-	stop = append(stop, pool...)
-	return graph.NewSPTCacheWithin(fab.Graph(), stop)
-}
-
-// candidatePool returns the Steiner-candidate switch-block nodes inside the
-// net's pin bounding box plus a margin, subsampled to at most maxPool.
-func candidatePool(fab *fpga.Fabric, net circuits.Net, margin int) []graph.NodeID {
-	return fab.SteinerPool(net.Pins, margin, maxPool)
+// CheckAlgorithms reports an error unless o's Algorithm and
+// CriticalAlgorithm (empty: the default) both name a known algorithm.
+// Route and MinWidth run it before any pass or width, and the service
+// before it accepts a job, so a bad name fails at once instead of failing
+// every net of every pass.
+func (o Options) CheckAlgorithms() error {
+	o = o.withDefaults()
+	for _, name := range []string{o.Algorithm, o.CriticalAlgorithm} {
+		if _, ok := algorithms[name]; !ok {
+			return fmt.Errorf("router: unknown algorithm %q", name)
+		}
+	}
+	return nil
 }
 
 func pinNodes(fab *fpga.Fabric, pins []fpga.Pin) []graph.NodeID {

@@ -7,6 +7,7 @@ import (
 	"fpgarouter/internal/circuits"
 	"fpgarouter/internal/fpga"
 	"fpgarouter/internal/graph"
+	"fpgarouter/internal/stats"
 )
 
 // tinySpec is a small synthetic circuit for fast router tests.
@@ -135,11 +136,29 @@ func TestInitialOrderPrefersBigNets(t *testing.T) {
 	}
 }
 
+// An unknown Algorithm or CriticalAlgorithm fails Route and MinWidth up
+// front, in both engines: no pass runs and no width is probed, and the
+// error names the algorithm rather than wrapping ErrUnroutable.
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 6)
-	_, err := Route(ckt, 6, Options{Algorithm: "bogus", MaxPasses: 1})
-	if err == nil {
-		t.Fatal("bogus algorithm accepted")
+	for _, opts := range []Options{
+		{Algorithm: "bogus"},
+		{CriticalAlgorithm: "bogus"},
+		{Algorithm: "bogus", Parallel: true},
+	} {
+		col := stats.New()
+		ctx := NewContext(col)
+		_, routeErr := RouteCtx(ctx, ckt, 6, opts)
+		_, _, widthErr := MinWidthCtx(ctx, ckt, 1, opts)
+		ctx.Close()
+		for _, err := range []error{routeErr, widthErr} {
+			if err == nil || errors.Is(err, ErrUnroutable) || err.Error() != `router: unknown algorithm "bogus"` {
+				t.Fatalf("%+v: error %v, want an unknown-algorithm error", opts, err)
+			}
+		}
+		if s := col.Snapshot(); s.Passes != 0 || s.WidthProbes != 0 {
+			t.Fatalf("%+v: %d passes, %d width probes before the rejection, want none", opts, s.Passes, s.WidthProbes)
+		}
 	}
 }
 

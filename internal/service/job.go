@@ -192,6 +192,9 @@ func resolveJob(req *SubmitRequest) (*Job, error) {
 	if req.TimeoutMs > MaxTimeoutMs {
 		return nil, fmt.Errorf("timeout_ms must be at most %d (24h)", MaxTimeoutMs)
 	}
+	if err := req.Options.CheckAlgorithms(); err != nil {
+		return nil, err
+	}
 	retries := req.MaxRetries
 	switch {
 	case retries == 0:

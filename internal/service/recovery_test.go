@@ -296,30 +296,67 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 }
 
 // TestRecoveryUnresolvableRequestFailsVisibly: a journaled request that no
-// longer resolves (unknown circuit) becomes a failed job with its history
-// visible, never a silent drop.
+// longer resolves (an unknown circuit, or an unknown algorithm that an
+// older build journaled) becomes a failed job with its history visible,
+// never a silent drop.
 func TestRecoveryUnresolvableRequestFailsVisibly(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := journal.Open(dir+"/journal.wal", journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqRaw, _ := json.Marshal(SubmitRequest{Mode: ModeRoute, Circuit: "no-such-circuit", Width: 9})
-	if err := j.Append(journal.Record{Event: journal.EvSubmitted, JobID: "job-000003", Time: time.Now().UTC(), Request: reqRaw}); err != nil {
-		t.Fatal(err)
+	unresolvable := map[string]SubmitRequest{
+		"job-000003": {Mode: ModeRoute, Circuit: "no-such-circuit", Width: 9},
+		"job-000004": {Mode: ModeRoute, Circuit: "busc", Options: router.Options{Algorithm: "bogus"}},
+	}
+	for id, req := range unresolvable {
+		reqRaw, _ := json.Marshal(req)
+		if err := j.Append(journal.Record{Event: journal.EvSubmitted, JobID: id, Time: time.Now().UTC(), Request: reqRaw}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	j.Close()
 
 	_, report, ts := durableHarness(t, dir, Config{Workers: 1, QueueDepth: 4})
-	if len(report.Unrecoverable) != 1 || report.Requeued != 0 {
-		t.Fatalf("replay report %+v, want 1 unrecoverable", report)
+	if len(report.Unrecoverable) != len(unresolvable) || report.Requeued != 0 {
+		t.Fatalf("replay report %+v, want %d unrecoverable", report, len(unresolvable))
 	}
-	var st Status
-	if code := getJSON(t, ts.URL+"/jobs/job-000003", &st); code != http.StatusOK {
-		t.Fatalf("status: HTTP %d", code)
+	for id := range unresolvable {
+		var st Status
+		if code := getJSON(t, ts.URL+"/jobs/"+id, &st); code != http.StatusOK {
+			t.Fatalf("%s status: HTTP %d", id, code)
+		}
+		if st.State != StateFailed || st.Error == "" {
+			t.Fatalf("unrecoverable job status %+v, want failed with an error", st)
+		}
 	}
-	if st.State != StateFailed || st.Error == "" {
-		t.Fatalf("unrecoverable job status %+v, want failed with an error", st)
+}
+
+// TestSubmitUnknownAlgorithmRejected: a request naming an unknown
+// algorithm or critical algorithm is a 400 that says so, and the service
+// journals nothing for it.
+func TestSubmitUnknownAlgorithmRejected(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, ts := durableHarness(t, dir, Config{Workers: 1, QueueDepth: 4})
+	for _, opts := range []router.Options{{Algorithm: "bogus"}, {CriticalAlgorithm: "bogus"}} {
+		for _, mode := range []Mode{ModeRoute, ModeMinWidth} {
+			code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{Mode: mode, Circuit: "busc", Options: opts}, nil)
+			if code != http.StatusBadRequest || !bytes.Contains([]byte(body), []byte(`unknown algorithm \"bogus\"`)) {
+				t.Fatalf("%s %+v: HTTP %d: %s, want 400 naming the algorithm", mode, opts, code, body)
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	svc.Shutdown(ctx)
+	svc.cfg.Journal.Close()
+	j, rep, err := journal.Open(filepath.Join(dir, "journal.wal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(rep.Records) != 0 {
+		t.Fatalf("rejected submissions journaled %d records: %+v", len(rep.Records), rep.Records)
 	}
 }
 

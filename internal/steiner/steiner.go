@@ -105,24 +105,6 @@ func NewDistanceGraph(cache *graph.SPTCache, terms []graph.NodeID) (*DistanceGra
 // one of Terms).
 func (dg *DistanceGraph) Index(v graph.NodeID) int { return dg.pos[v] }
 
-// ExpandEdges translates a set of distance-graph edges into the underlying
-// graph's edge IDs by expanding each into its shortest path (deduplicated).
-func (dg *DistanceGraph) ExpandEdges(cache *graph.SPTCache, ids []graph.EdgeID) []graph.EdgeID {
-	seen := cache.EdgeSet()
-	var out []graph.EdgeID
-	for _, id := range ids {
-		e := dg.G.Edge(id)
-		u := dg.Terms[e.U]
-		v := dg.Terms[e.V]
-		for _, ge := range cache.Path(u, v) {
-			if seen.Add(ge) {
-				out = append(out, ge)
-			}
-		}
-	}
-	return out
-}
-
 // localMST computes an MST of the subgraph induced by the given edges of
 // the cache's graph (deduplicated) using Kruskal over a compact node
 // remapping, so its cost is proportional to the edge set, not to |V(g)|.
