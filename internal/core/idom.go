@@ -32,5 +32,5 @@ func IDOMOpts(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tr
 // tree first could change the bits it reads (DESIGN.md §5). Its candidate
 // scans still fan out over Options.Workers.
 func IDOMStats(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, Stats, error) {
-	return iterate(cache, net, arbor.DOM, false, opts, false)
+	return iterate(cache, net, arbor.DOM, nil, opts, false)
 }

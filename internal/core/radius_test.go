@@ -59,10 +59,12 @@ func TestSearchRadiusCoversRounding(t *testing.T) {
 
 // TestIKMBTreesExactWithinRadiusParity checks the invariant the radius
 // argument rests on (DESIGN.md §5) where IKMBStats reads trees after its
-// first KMB call: at every batched re-admission on a plain cache, each
-// cached tree of the net KMB is handed reads, at every node, either the
-// unbounded search's label and parent or +Inf. A tree still paused, with
-// tentative labels, or cut short anywhere but beyond its radius, fails.
+// first KMB call's scan rounds: at every screened batched re-admission on
+// a plain cache, each cached tree of the net the screen is handed reads,
+// at every node, either the unbounded search's label and parent or +Inf.
+// A tree still paused, with tentative labels, or cut short anywhere but
+// beyond its radius, fails. The construction is IKMBStats' own, with its
+// re-admission screen wrapped to check the trees before it reads them.
 func TestIKMBTreesExactWithinRadiusParity(t *testing.T) {
 	checked := 0
 	for c := range screenCases(t) {
@@ -71,28 +73,25 @@ func TestIKMBTreesExactWithinRadiusParity(t *testing.T) {
 		}
 		ref := c.newCache()
 		for _, workers := range []int{1, 2} {
-			calls := 0
-			H := func(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
-				if calls++; calls > 1 {
-					for _, v := range net {
-						tr, ok := cache.CachedTree(v)
-						if !ok {
-							continue
-						}
-						full := ref.Tree(v)
-						for x, d := range tr.Dist {
-							if d != graph.Inf() && (d != full.Dist[x] || tr.ParentEdge[x] != full.ParentEdge[x]) {
-								t.Fatalf("%s, %d workers: the tree at %d reads %v at node %d, the unbounded one %v", c.name, workers, v, d, x, full.Dist[x])
-							}
-						}
-						checked++
+			screen := func(cache *graph.SPTCache, net []graph.NodeID, best, eps float64) (graph.Tree, bool, error) {
+				for _, v := range net {
+					tr, ok := cache.CachedTree(v)
+					if !ok {
+						continue
 					}
+					full := ref.Tree(v)
+					for x, d := range tr.Dist {
+						if d != graph.Inf() && (d != full.Dist[x] || tr.ParentEdge[x] != full.ParentEdge[x]) {
+							t.Fatalf("%s, %d workers: the tree at %d reads %v at node %d, the unbounded one %v", c.name, workers, v, d, x, full.Dist[x])
+						}
+					}
+					checked++
 				}
-				return steiner.KMB(cache, net)
+				return steiner.KMBScreened(cache, net, best, eps)
 			}
 			cache := c.newCache()
 			opts := Options{Candidates: c.pool, Batched: true, Workers: workers}
-			if _, _, err := iterate(cache, c.net, H, true, opts, true); err != nil {
+			if _, _, err := iterate(cache, c.net, steiner.KMB, screen, opts, true); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			cache.Release()

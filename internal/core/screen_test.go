@@ -119,11 +119,12 @@ func oracle(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree
 // and on the workers'. Heap pushes are the oracle's on priced caches and
 // at most the oracle's on plain ones, whose searches stop at the
 // incumbent's radius. The screen and the radius must each engage
-// somewhere.
+// somewhere, and so must the screen of the batched re-admissions.
 func TestIKMBScreenParity(t *testing.T) {
-	var screened, bounded int64
+	var screened, bounded, readmits int64
 	for c := range screenCases(t) {
 		priced := c.newCache().Overlay() != nil
+		readmits += screenedReadmissions(t, c)
 		for _, batched := range []bool{false, true} {
 			var serial int64
 			for _, workers := range []int{1, 2, 4} {
@@ -163,11 +164,32 @@ func TestIKMBScreenParity(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d evaluations screened out; the radius saved heap pushes in %d constructions", screened, bounded)
+	t.Logf("%d evaluations screened out, %d of them batched re-admissions; the radius saved heap pushes in %d constructions", screened, readmits, bounded)
 	if screened == 0 {
 		t.Fatal("the screen never engaged")
 	}
 	if bounded == 0 {
 		t.Fatal("the radius never engaged")
 	}
+	if readmits == 0 {
+		t.Fatal("the screen never ruled out a batched re-admission")
+	}
+}
+
+// screenedReadmissions builds c as IKMBStats does, batched at one worker,
+// and returns how many batched re-admissions its screen ruled out.
+func screenedReadmissions(t *testing.T, c screenCase) int64 {
+	var n int64
+	screen := func(cache *graph.SPTCache, net []graph.NodeID, best, eps float64) (graph.Tree, bool, error) {
+		tr, out, err := steiner.KMBScreened(cache, net, best, eps)
+		if out {
+			n++
+		}
+		return tr, out, err
+	}
+	build := func(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, Stats, error) {
+		return iterate(cache, net, steiner.KMB, screen, opts, true)
+	}
+	construct(t, c, build, Options{Batched: true, Workers: 1})
+	return n
 }

@@ -12,10 +12,11 @@ import (
 // adjacency-list layout exposed — Adj, then a per-arc Enabled check and
 // Weight load — instead of streaming the CSR weight array, skips settled
 // neighbours, and clears every unsettled label in an O(n) pass on an early
-// exit. Distances, parents and the HeapPushes/Settled increments are
-// bit-identical to dijkstraWith on any graph state: the CSR rebuild places
-// each node's arcs in edge-insertion order, exactly how the old layout's
-// appends ordered them, and the relaxation arithmetic is unchanged.
+// exit, all over the swap-based heap of heap_test.go. Distances, parents
+// and the HeapPushes/Settled increments are bit-identical to dijkstraWith
+// on any graph state: the CSR rebuild places each node's arcs in
+// edge-insertion order, exactly how the old layout's appends ordered them,
+// the relaxation arithmetic is unchanged, and both heaps pop alike.
 func (g *Graph) legacyDijkstra(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
 	n := g.n
 	ep := s.beginRun(n)
@@ -35,13 +36,11 @@ func (g *Graph) legacyDijkstra(s *DijkstraScratch, src NodeID, stop []NodeID) *S
 		}
 	}
 	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{0, src})
+	var q swapPQ
+	q.push(0, src)
 	s.HeapPushes++
-	for len(*q) > 0 {
-		it := q.pop()
-		u := it.node
+	for len(q) > 0 {
+		u := q.pop()
 		if s.done[u] == ep {
 			continue
 		}
@@ -70,7 +69,7 @@ func (g *Graph) legacyDijkstra(s *DijkstraScratch, src NodeID, stop []NodeID) *S
 				t.Dist[a.To] = nd
 				t.ParentEdge[a.To] = a.ID
 				t.ParentNode[a.To] = u
-				q.push(pqItem{nd, a.To})
+				q.push(nd, a.To)
 				s.HeapPushes++
 			}
 		}

@@ -35,47 +35,69 @@ type SPT struct {
 	radius float64
 }
 
-// pqItem is an entry in the Dijkstra priority queue. The queue is a plain
-// binary heap with lazy deletion: stale entries are skipped on pop.
-type pqItem struct {
-	dist float64
-	node NodeID
+// pq is the priority queue behind every search: a binary min-heap with
+// lazy deletion (stale entries are skipped on pop), held as two parallel
+// arrays, each entry's key in keys and its node at the same index in
+// nodes. A level of a sift compares keys alone, so it reads one array and
+// moves the entry with two plain stores.
+type pq struct {
+	keys  []float64
+	nodes []NodeID
 }
 
-type pq []pqItem
+// clear empties q, keeping its arrays.
+func (q *pq) clear() {
+	q.keys = q.keys[:0]
+	q.nodes = q.nodes[:0]
+}
 
-func (q *pq) push(it pqItem) {
-	*q = append(*q, it)
-	i := len(*q) - 1
-	h := *q
+// copyFrom makes q a copy of o in q's own arrays.
+func (q *pq) copyFrom(o pq) {
+	q.keys = append(q.keys[:0], o.keys...)
+	q.nodes = append(q.nodes[:0], o.nodes...)
+}
+
+// push inserts node v with key d. A hole opens after the last entry and
+// climbs while its parent's key is above d, each such parent moving down
+// into it, and (d, v) fills the hole where it stops: the entries that
+// move, and where they land, are those of swapping the new entry up.
+func (q *pq) push(d float64, v NodeID) {
+	q.keys = append(q.keys, d)
+	q.nodes = append(q.nodes, v)
+	keys, nodes := q.keys, q.nodes
+	i := len(keys) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h[p].dist <= h[i].dist {
+		if keys[p] <= d {
 			break
 		}
-		h[p], h[i] = h[i], h[p]
+		keys[i] = keys[p]
+		nodes[i] = nodes[p]
 		i = p
 	}
+	keys[i] = d
+	nodes[i] = v
 }
 
-// pop removes and returns the root. It is a bottom-up (Floyd) sift: the
-// hole left at the root walks down to a leaf along the smaller child, the
-// left one on ties, moving that child up at every level, and the former
-// last entry x then climbs back from the leaf while its parent's key is
-// ≥ x's. Keys never decrease along the hole's path, so x lands where a
-// top-down sift stops (the first level whose smaller child is not
-// strictly below x), the same entries move, and the array after every pop
-// equals the swap-based sift's (heap_test.go keeps that one as the
-// oracle). The gain is in the comparisons: one per level on the way down,
-// between the two children, and the comparisons against x only on the
-// short climb.
-func (q *pq) pop() pqItem {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	x := h[n]
-	h = h[:n]
-	*q = h
+// pop removes the root and returns its node. It is a bottom-up (Floyd)
+// sift: the hole left at the root walks down to a leaf along the smaller
+// child, the left one on ties, moving that child up at every level, and
+// the former last entry x then climbs back from the leaf while its
+// parent's key is ≥ x's. Keys never decrease along the hole's path, so x
+// lands where a top-down sift stops (the first level whose smaller child
+// is not strictly below x), the same entries move, and both arrays after
+// every pop equal the swap-based sift's (heap_test.go keeps that one as
+// the oracle). The descent makes one comparison per level, between the
+// two children, and turns it into the child's index (j = l + d) rather
+// than a jump: on a heap of a few hundred entries the comparison is a coin
+// toss a branch predictor loses half the time.
+func (q *pq) pop() NodeID {
+	keys, nodes := q.keys, q.nodes
+	top := nodes[0]
+	n := len(keys) - 1
+	x, xv := keys[n], nodes[n]
+	keys, nodes = keys[:n], nodes[:n]
+	q.keys, q.nodes = keys, nodes
 	if n == 0 {
 		return top
 	}
@@ -83,32 +105,40 @@ func (q *pq) pop() pqItem {
 	i := uint(0)
 	for {
 		l := 2*i + 1
-		if l+1 >= uint(len(h)) {
+		if l+1 >= uint(len(keys)) {
 			break
 		}
-		c := h[l : l+2 : l+2]
-		if c[1].dist < c[0].dist {
-			h[i] = c[1]
-			i = l + 1
-		} else {
-			h[i] = c[0]
-			i = l
-		}
+		c := keys[l : l+2 : l+2]
+		j := l + b2u(c[1] < c[0])
+		keys[i] = keys[j]
+		nodes[i] = nodes[j]
+		i = j
 	}
-	if l := 2*i + 1; l < uint(len(h)) { // a lone last child
-		h[i] = h[l]
+	if l := 2*i + 1; l < uint(len(keys)) { // a lone last child
+		keys[i] = keys[l]
+		nodes[i] = nodes[l]
 		i = l
 	}
 	for i > 0 {
 		p := (i - 1) / 2
-		if h[p].dist < x.dist {
+		if keys[p] < x {
 			break
 		}
-		h[i] = h[p]
+		keys[i] = keys[p]
+		nodes[i] = nodes[p]
 		i = p
 	}
-	h[i] = x
+	keys[i] = x
+	nodes[i] = xv
 	return top
+}
+
+// b2u is 1 for true and 0 for false; the compiler turns it into a SETcc.
+func b2u(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Dijkstra computes shortest paths from src over the enabled edges of g.
@@ -177,8 +207,8 @@ func (g *Graph) dijkstraInto(s *DijkstraScratch, t *SPT, src NodeID, stop, pause
 		}
 	}
 	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	s.heap.push(pqItem{0, src})
+	s.heap.clear()
+	s.heap.push(0, src)
 	s.HeapPushes++
 	return g.settle(s, t, ep, remaining, pauseLeft, radius)
 }
@@ -198,8 +228,8 @@ func (g *Graph) resume(s *DijkstraScratch, t *SPT, stop []NodeID, radius float64
 			remaining--
 		}
 	}
-	s.heap = append(s.heap[:0], t.heap...)
-	t.heap = t.heap[:0]
+	s.heap.copyFrom(t.heap)
+	t.heap.clear()
 	t.paused = false
 	return g.settle(s, t, ep, remaining, -1, radius)
 }
@@ -219,18 +249,17 @@ func (g *Graph) resume(s *DijkstraScratch, t *SPT, stop []NodeID, radius float64
 // dijkstraWith).
 func (g *Graph) settle(s *DijkstraScratch, t *SPT, ep uint32, remaining, pauseLeft int, radius float64) *SPT {
 	q := &s.heap
-	for len(*q) > 0 {
+	for len(q.keys) > 0 {
 		if pauseLeft == 0 {
-			t.heap = append(t.heap[:0], *q...)
+			t.heap.copyFrom(*q)
 			t.paused = true
 			return t
 		}
-		if (*q)[0].dist > radius {
+		if q.keys[0] > radius {
 			t.radius = radius
 			break
 		}
-		it := q.pop()
-		u := it.node
+		u := q.pop()
 		if s.done[u] == ep {
 			continue
 		}
@@ -268,7 +297,7 @@ func (g *Graph) settle(s *DijkstraScratch, t *SPT, ep uint32, remaining, pauseLe
 				t.Dist[to] = nd
 				t.ParentEdge[to] = as[k].ID
 				t.ParentNode[to] = u
-				q.push(pqItem{nd, to})
+				q.push(nd, to)
 				s.HeapPushes++
 			}
 		}
@@ -327,11 +356,12 @@ type SPTCache struct {
 	// base, when non-nil, is the frozen snapshot this cache was forked from:
 	// lookups fall through to its trees, writes stay private (see Fork).
 	base *SPTCache
-	// bounds, when non-nil alongside a stop set, turns cache misses into
-	// goal-directed searches: expansion is biased toward the stop set by an
-	// admissible lower bound. Distances to stop nodes stay exact; see
+	// h, when set (WithBounds on a cache with a stop set), turns cache
+	// misses into goal-directed searches: expansion is biased toward the
+	// stop set by an admissible lower bound, built once for the cache and
+	// shared by its forks. Distances to stop nodes stay exact; see
 	// WithBounds for the tie-break caveat.
-	bounds *CoordBounds
+	h SetBound
 	// overlay, when non-nil, prices and blocks the cache's searches without
 	// mutating g (see Overlay); EdgeWeight reads through it so that tree
 	// constructions sorting by weight see the same effective costs the
@@ -367,10 +397,11 @@ func (c *SPTCache) WithScratch(s *DijkstraScratch) *SPTCache {
 // WithBounds guides the cache's searches with an admissible lower bound
 // (see CoordBounds): each miss searches toward the stop set as
 // DijkstraWithinBounded does, settling fewer nodes than plain
-// DijkstraWithin. Only a cache with a stop set is guided (a search of the
-// whole graph gains nothing from goal direction); b must be admissible and
-// consistent for the current graph state or distances would come out
-// wrong.
+// DijkstraWithin. The bound to the stop set is built here, once. Only a
+// cache with a stop set is guided (a search of the whole graph gains
+// nothing from goal direction), so set the stop set first; b must be
+// admissible and consistent for the current graph state or distances
+// would come out wrong.
 //
 // Exactness contract: distances to stop nodes are exact and, with a
 // consistent bound, bit-identical to the unbounded cache's; parents (and
@@ -379,7 +410,9 @@ func (c *SPTCache) WithScratch(s *DijkstraScratch) *SPTCache {
 // bounds every cache; the sequential router bounds none, because its
 // routes must keep plain Dijkstra's tie-breaks. Returns c.
 func (c *SPTCache) WithBounds(b *CoordBounds) *SPTCache {
-	c.bounds = b
+	if b != nil && c.stop != nil {
+		c.h = b.ToSet(c.stop)
+	}
 	return c
 }
 
@@ -403,7 +436,7 @@ func (c *SPTCache) WithOverlay(ov *Overlay) *SPTCache {
 // live. Release the fork — recycling its private trees into s — before
 // returning s to the pool; the base's trees are never recycled by a fork.
 func (c *SPTCache) Fork(s *DijkstraScratch) *SPTCache {
-	return &SPTCache{g: c.g, trees: make(map[NodeID]*SPT), stop: c.stop, scratch: s, base: c, bounds: c.bounds, overlay: c.overlay, radius: inf}
+	return &SPTCache{g: c.g, trees: make(map[NodeID]*SPT), stop: c.stop, scratch: s, base: c, h: c.h, overlay: c.overlay, radius: inf}
 }
 
 // SetRadius bounds the cache's plain searches by key: a later miss, and
@@ -492,19 +525,14 @@ func (c *SPTCache) Tree(src NodeID) *SPT {
 }
 
 // search runs the cache's configured search from src on scratch s, into
-// t. A cache with neither overlay nor bounds runs the plain loop, the only
+// t. A cache with neither overlay nor bound runs the plain loop, the only
 // one that pauses at pause (when non-nil) and honours the radius; any
-// other runs the priced kernel, guided by the bounds when it has a stop
-// set.
+// other runs the priced kernel, guided by the bound when it has one.
 func (c *SPTCache) search(s *DijkstraScratch, t *SPT, src NodeID, pause []NodeID) *SPT {
-	if c.overlay == nil && c.bounds == nil {
+	if c.overlay == nil && c.h.b == nil {
 		return c.g.dijkstraInto(s, t, src, c.stop, pause, c.keyRadius())
 	}
-	q := query{src: src, stop: c.stop, ov: c.overlay}
-	if c.bounds != nil && c.stop != nil {
-		q.h = c.bounds.ToSet(c.stop)
-	}
-	c.g.search(s, t, q)
+	c.g.search(s, t, query{src: src, stop: c.stop, ov: c.overlay, h: c.h})
 	return t
 }
 

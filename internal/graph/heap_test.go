@@ -2,19 +2,26 @@ package graph
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
-// swapPQ is the top-down, swap-based binary heap pq replaced: push is the
-// same, pop swaps the displaced last entry down while a child is strictly
-// smaller, choosing the left child on ties. It is the oracle for pq's
-// bottom-up pop, which must leave the backing array exactly as this one
-// does after every operation.
-type swapPQ []pqItem
+// swapItem is an entry of the swap-based heap: a key and its node in one
+// struct, the layout pq had before it split them into two arrays.
+type swapItem struct {
+	dist float64
+	node NodeID
+}
 
-func (q *swapPQ) push(it pqItem) {
-	*q = append(*q, it)
+// swapPQ is the binary heap pq replaced: push swaps the new entry up while
+// its parent's key is strictly larger, and pop swaps the displaced last
+// entry down while a child is strictly smaller, choosing the left child on
+// ties. It is the oracle for pq's hole-moving push and bottom-up pop, which
+// must leave their arrays exactly as this one leaves its own after every
+// operation, and the heap of the pre-CSR search loop (legacyDijkstra).
+type swapPQ []swapItem
+
+func (q *swapPQ) push(d float64, v NodeID) {
+	*q = append(*q, swapItem{d, v})
 	i := len(*q) - 1
 	h := *q
 	for i > 0 {
@@ -27,7 +34,7 @@ func (q *swapPQ) push(it pqItem) {
 	}
 }
 
-func (q *swapPQ) pop() pqItem {
+func (q *swapPQ) pop() NodeID {
 	h := *q
 	top := h[0]
 	last := len(h) - 1
@@ -50,17 +57,33 @@ func (q *swapPQ) pop() pqItem {
 		i = small
 	}
 	*q = h
-	return top
+	return top.node
+}
+
+// sameHeap reports whether q's key and node arrays hold o's entries, index
+// for index.
+func sameHeap(q pq, o swapPQ) bool {
+	if len(q.keys) != len(o) || len(q.nodes) != len(o) {
+		return false
+	}
+	for i, it := range o {
+		if q.keys[i] != it.dist || q.nodes[i] != it.node {
+			return false
+		}
+	}
+	return true
 }
 
 // TestHeapPopParity drives pq and the swap-based oracle through the same
-// random push/pop sequences and compares their whole backing arrays after
-// every operation, not only the popped entries: equal-key entries carry
-// different nodes, so any difference in which entries move shows. Keys come
-// from a handful of values (plus +Inf), so ties are everywhere — between
-// the two children, and between a child and the entry being sifted — and
-// the heaps grow to a few hundred entries and drain to empty repeatedly,
-// which passes every shape of the last level, a lone last child included.
+// random push/pop sequences and compares pq's key and node arrays with the
+// oracle's entries after every push and every pop, not only the popped
+// nodes: equal-key entries carry different nodes, so any difference in
+// which entries move shows. Keys come from a handful of values (plus
+// +Inf), so ties are everywhere — between the two children, between a
+// child and the entry being sifted, and between a new entry and its
+// parent — and the heaps grow to a few hundred entries and drain to empty
+// repeatedly, which passes every shape of the last level, a lone last
+// child included.
 func TestHeapPopParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 300; trial++ {
@@ -75,23 +98,19 @@ func TestHeapPopParity(t *testing.T) {
 				if rng.Intn(20) == 0 {
 					d = inf
 				}
-				it := pqItem{d, node}
+				got.push(d, node)
+				want.push(d, node)
 				node++
-				got.push(it)
-				want.push(it)
-			} else {
-				g, w := got.pop(), want.pop()
-				if g != w {
-					t.Fatalf("trial %d op %d: pop %+v, oracle %+v", trial, op, g, w)
-				}
+			} else if g, w := got.pop(), want.pop(); g != w {
+				t.Fatalf("trial %d op %d: pop %d, oracle %d", trial, op, g, w)
 			}
-			if !slices.Equal(got, pq(want)) {
-				t.Fatalf("trial %d op %d: heap %v, oracle %v", trial, op, got, want)
+			if !sameHeap(got, want) {
+				t.Fatalf("trial %d op %d: heap %v %v, oracle %v", trial, op, got.keys, got.nodes, want)
 			}
 		}
 		for len(want) > 0 {
-			if g, w := got.pop(), want.pop(); g != w || !slices.Equal(got, pq(want)) {
-				t.Fatalf("trial %d drain: pop %+v, oracle %+v; heap %v, oracle %v", trial, g, w, got, want)
+			if g, w := got.pop(), want.pop(); g != w || !sameHeap(got, want) {
+				t.Fatalf("trial %d drain: pop %d, oracle %d; heap %v %v, oracle %v", trial, g, w, got.keys, got.nodes, want)
 			}
 		}
 	}

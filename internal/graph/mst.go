@@ -62,12 +62,11 @@ func (g *Graph) PrimMST(start NodeID) ([]EdgeID, error) {
 		bestEdge[i] = None
 	}
 	best[start] = 0
-	q := make(pq, 0, 64)
-	q.push(pqItem{0, start})
+	q := pq{make([]float64, 0, 64), make([]NodeID, 0, 64)}
+	q.push(0, start)
 	mst := make([]EdgeID, 0, g.n-1)
-	for len(q) > 0 {
-		it := q.pop()
-		u := it.node
+	for len(q.keys) > 0 {
+		u := q.pop()
 		if inTree[u] {
 			continue
 		}
@@ -84,7 +83,7 @@ func (g *Graph) PrimMST(start NodeID) ([]EdgeID, error) {
 			if w := g.arcw[i]; w < best[to] {
 				best[to] = w
 				bestEdge[to] = g.arcs[i].ID
-				q.push(pqItem{w, to})
+				q.push(w, to)
 			}
 		}
 	}

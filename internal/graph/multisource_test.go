@@ -145,7 +145,7 @@ func TestQuickAStarFromAnyReturnsNearestGoal(t *testing.T) {
 		perm := rng.Perm(n)
 		seeds := []Seed{{Node: NodeID(perm[0])}, {Node: NodeID(perm[1])}}
 		goals := []NodeID{NodeID(perm[2]), NodeID(perm[3]), NodeID(perm[4])}
-		goal, spt := g.AStarFromAnyOverlay(nil, seeds, goals, ov, nil)
+		goal, spt := g.AStarFromAnyOverlay(nil, seeds, goals, ov, SetBound{})
 		oracle := g.dijkstraFrom(seeds, nil, ov)
 		best := math.Inf(1)
 		for _, v := range goals {

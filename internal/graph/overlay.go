@@ -138,17 +138,17 @@ func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Over
 	g.markPinNeighbours(s, blocked, ep)
 	tf.Dist[src] = 0
 	tb.Dist[goal] = 0
-	s.heap = s.heap[:0]
-	s.heapB = s.heapB[:0]
+	s.heap.clear()
+	s.heapB.clear()
 	qf, qb := &s.heap, &s.heapB
-	qf.push(pqItem{0, src})
-	qb.push(pqItem{0, goal})
+	qf.push(0, src)
+	qb.push(0, goal)
 	s.HeapPushes += 2
 	best := inf
 	meet := None
 
 	expand := func(q *pq, done []uint32, mine, other *SPT) {
-		u := q.pop().node
+		u := q.pop()
 		if done[u] == ep {
 			return
 		}
@@ -174,7 +174,7 @@ func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Over
 				mine.Dist[to] = nd
 				mine.ParentEdge[to] = as[k].ID
 				mine.ParentNode[to] = u
-				q.push(pqItem{nd, to})
+				q.push(nd, to)
 				s.HeapPushes++
 				if c := nd + other.Dist[to]; c < best {
 					best = c
@@ -184,13 +184,13 @@ func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Over
 		}
 	}
 
-	for len(*qf) > 0 || len(*qb) > 0 {
+	for len(qf.keys) > 0 || len(qb.keys) > 0 {
 		topF, topB := inf, inf
-		if len(*qf) > 0 {
-			topF = (*qf)[0].dist
+		if len(qf.keys) > 0 {
+			topF = qf.keys[0]
 		}
-		if len(*qb) > 0 {
-			topB = (*qb)[0].dist
+		if len(qb.keys) > 0 {
+			topB = qb.keys[0]
 		}
 		if topF+topB >= best {
 			break

@@ -195,7 +195,7 @@ func (t *SPT) reset(n int, src NodeID) *SPT {
 	t.settled = t.settled[:0]
 	t.tidy = false
 	t.paused = false
-	t.heap = t.heap[:0]
+	t.heap.clear()
 	t.radius = inf
 	return t
 }
@@ -216,8 +216,8 @@ func (t *SPT) clearAll() {
 // unreachable in O(|q|) rather than O(n), and leaves labels only at the
 // settled nodes, which is what lets the next reset clear only those.
 func (t *SPT) finish(q pq, done []uint32, ep uint32) *SPT {
-	for _, it := range q {
-		if v := it.node; done[v] != ep {
+	for _, v := range q.nodes {
+		if done[v] != ep {
 			t.Dist[v] = inf
 			t.ParentEdge[v] = None
 			t.ParentNode[v] = None

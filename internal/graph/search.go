@@ -16,7 +16,7 @@ type Seed struct {
 
 // DijkstraWithinBounded is DijkstraWithin guided toward the stop set by a
 // coordinate lower bound: nodes are expanded in order of Dist + h where
-// h(v) = b.ToSet(stop)(v), so expansion concentrates around the stop set
+// h = b.ToSet(stop), so expansion concentrates around the stop set
 // instead of growing a full Dijkstra ball. Distances and paths for stop
 // nodes are exact (parents may differ on exact ties, DESIGN.md §6);
 // everything unsettled reads unreachable. With one stop node this is
@@ -41,9 +41,9 @@ func (g *Graph) DijkstraWithinBounded(s *DijkstraScratch, src NodeID, stop []Nod
 // seed set, with ties broken deterministically by settlement order. The
 // returned SPT is exact for the returned goal and every other settled
 // node; unsettled nodes read unreachable. Returns (None, t) when no goal
-// is reachable. h may be nil for an unguided (plain Dijkstra) search; ov
-// may be nil for an unpriced one.
-func (g *Graph) AStarFromAnyOverlay(s *DijkstraScratch, seeds []Seed, goals []NodeID, ov *Overlay, h func(NodeID) float64) (NodeID, *SPT) {
+// is reachable. h may be the zero SetBound for an unguided (plain
+// Dijkstra) search; ov may be nil for an unpriced one.
+func (g *Graph) AStarFromAnyOverlay(s *DijkstraScratch, seeds []Seed, goals []NodeID, ov *Overlay, h SetBound) (NodeID, *SPT) {
 	if s == nil {
 		s = AcquireScratch()
 		defer ReleaseScratch(s)
@@ -57,7 +57,7 @@ func (g *Graph) AStarFromAnyOverlay(s *DijkstraScratch, seeds []Seed, goals []No
 // from seeds, which do not. A nil stop set settles everything; otherwise
 // the search ends once all of it has settled, or with first set once any
 // of it has. A non-nil ov prices every arc (base + price) and bars blocked
-// nodes; a non-nil h, admissible and consistent for the priced weights,
+// nodes; a non-zero h, admissible and consistent for the priced weights,
 // orders the heap by Dist + h.
 type query struct {
 	src   NodeID
@@ -65,7 +65,7 @@ type query struct {
 	stop  []NodeID
 	first bool
 	ov    *Overlay
-	h     func(NodeID) float64
+	h     SetBound
 }
 
 // search is the priced kernel, the one loop behind every search with an
@@ -96,21 +96,22 @@ func (g *Graph) search(s *DijkstraScratch, t *SPT, q query) NodeID {
 		g.markPinNeighbours(s, blocked, ep)
 	}
 	h := q.h
-	s.heap = s.heap[:0]
+	guided := h.b != nil
+	s.heap.clear()
 	heap := &s.heap
 	for _, sd := range seeds {
 		if sd.Dist < t.Dist[sd.Node] {
 			t.Dist[sd.Node] = sd.Dist
 			key := sd.Dist
-			if h != nil {
-				key += h(sd.Node)
+			if guided {
+				key += h.At(sd.Node)
 			}
-			heap.push(pqItem{key, sd.Node})
+			heap.push(key, sd.Node)
 			s.HeapPushes++
 		}
 	}
-	for len(*heap) > 0 {
-		u := heap.pop().node
+	for len(heap.keys) > 0 {
+		u := heap.pop()
 		if s.done[u] == ep {
 			continue
 		}
@@ -156,14 +157,14 @@ func (g *Graph) search(s *DijkstraScratch, t *SPT, q query) NodeID {
 				t.ParentEdge[to] = as[k].ID
 				t.ParentNode[to] = u
 				key := nd
-				if h != nil {
-					key += h(to)
+				if guided {
+					key += h.At(to)
 				}
-				heap.push(pqItem{key, to})
+				heap.push(key, to)
 				s.HeapPushes++
 			}
 		}
 	}
-	t.finish(nil, s.done, ep)
+	t.finish(pq{}, s.done, ep)
 	return None
 }

@@ -293,8 +293,7 @@ func (e *engine) reconnect(wk *worker, idx int, terms []graph.NodeID) (graph.Tre
 	}
 	b := e.fab.Bounds()
 	for len(orphans) > 0 {
-		h := b.ToSet(orphans)
-		goal, spt := e.g.AStarFromAnyOverlay(wk.scratch, seeds, orphans, wk.ov, h)
+		goal, spt := e.g.AStarFromAnyOverlay(wk.scratch, seeds, orphans, wk.ov, b.ToSet(orphans))
 		if goal == graph.None {
 			wk.scratch.RecycleSPT(spt)
 			wk.seeds, wk.orphans, wk.out = seeds, orphans, out

@@ -22,16 +22,10 @@ import (
 // exhausts the iteration budget returns ErrUnroutable with a partial
 // Result committing only the uncontested nets, exactly the contract
 // MinWidth's probes rely on; cancellation and injected faults likewise
-// surface the partial state alongside their error.
+// surface the partial state alongside their error. Its options have
+// passed CheckAlgorithms: the algorithm is ikmb or kmb, and no net is
+// critical.
 func routeParallel(ctx *Context, fab *fpga.Fabric, ckt *circuits.Circuit, opts Options) (*Result, error) {
-	switch opts.Algorithm {
-	case AlgIKMB, AlgKMB:
-	default:
-		return nil, fmt.Errorf("router: parallel mode requires algorithm %q or %q (got %q)", AlgIKMB, AlgKMB, opts.Algorithm)
-	}
-	if len(opts.CriticalNets) > 0 {
-		return nil, fmt.Errorf("router: parallel mode does not support critical-net classification (%d critical nets requested)", len(opts.CriticalNets))
-	}
 	cfg := pathfinder.Config{
 		Algorithm:  opts.Algorithm,
 		Workers:    opts.NetWorkers,

@@ -93,7 +93,7 @@ type Options struct {
 	// Results are deterministic for a fixed run and invariant across
 	// NetWorkers settings; goal-directed search is always on in this mode
 	// (the bit-for-bit Dijkstra tie binds only the sequential oracle).
-	// Requires Algorithm ikmb or kmb and no CriticalNets.
+	// Requires Algorithm ikmb or kmb and no CriticalNets (CheckAlgorithms).
 	Parallel bool `json:"parallel,omitempty"`
 	// NetWorkers bounds the pathfinder's net-routing goroutines (only
 	// meaningful with Parallel). 0 selects the default (GOMAXPROCS capped
@@ -555,16 +555,26 @@ func plain(f func(*graph.SPTCache, []graph.NodeID) (graph.Tree, error)) construc
 }
 
 // CheckAlgorithms reports an error unless o's Algorithm and
-// CriticalAlgorithm (empty: the default) both name a known algorithm.
-// Route and MinWidth run it before any pass or width, and the service
-// before it accepts a job, so a bad name fails at once instead of failing
-// every net of every pass.
+// CriticalAlgorithm (empty: the default) both name a known algorithm, and,
+// in parallel mode, unless Algorithm is ikmb or kmb and no net is
+// critical. Route and MinWidth run it before any pass or width, and the
+// service before it accepts a job, so a bad request fails at once instead
+// of failing every net of every pass, or after the fabric is built.
 func (o Options) CheckAlgorithms() error {
 	o = o.withDefaults()
 	for _, name := range []string{o.Algorithm, o.CriticalAlgorithm} {
 		if _, ok := algorithms[name]; !ok {
 			return fmt.Errorf("router: unknown algorithm %q", name)
 		}
+	}
+	if !o.Parallel {
+		return nil
+	}
+	if o.Algorithm != AlgIKMB && o.Algorithm != AlgKMB {
+		return fmt.Errorf("router: parallel mode requires algorithm %q or %q (got %q)", AlgIKMB, AlgKMB, o.Algorithm)
+	}
+	if len(o.CriticalNets) > 0 {
+		return fmt.Errorf("router: parallel mode does not support critical-net classification (%d critical nets requested)", len(o.CriticalNets))
 	}
 	return nil
 }

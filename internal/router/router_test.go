@@ -136,24 +136,33 @@ func TestInitialOrderPrefersBigNets(t *testing.T) {
 	}
 }
 
-// An unknown Algorithm or CriticalAlgorithm fails Route and MinWidth up
-// front, in both engines: no pass runs and no width is probed, and the
-// error names the algorithm rather than wrapping ErrUnroutable.
+// An unknown Algorithm or CriticalAlgorithm, and a parallel-mode request
+// the pathfinder cannot run (an algorithm other than ikmb or kmb, or
+// critical nets), fail Route and MinWidth up front, in both engines: no
+// pass runs and no width is probed, and the error says what is wrong
+// rather than wrapping ErrUnroutable.
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 6)
-	for _, opts := range []Options{
-		{Algorithm: "bogus"},
-		{CriticalAlgorithm: "bogus"},
-		{Algorithm: "bogus", Parallel: true},
+	const unknown = `router: unknown algorithm "bogus"`
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Algorithm: "bogus"}, unknown},
+		{Options{CriticalAlgorithm: "bogus"}, unknown},
+		{Options{Algorithm: "bogus", Parallel: true}, unknown},
+		{Options{Algorithm: AlgPFA, Parallel: true}, `router: parallel mode requires algorithm "ikmb" or "kmb" (got "pfa")`},
+		{Options{Parallel: true, CriticalNets: []int{0}}, `router: parallel mode does not support critical-net classification (1 critical nets requested)`},
 	} {
+		opts := c.opts
 		col := stats.New()
 		ctx := NewContext(col)
 		_, routeErr := RouteCtx(ctx, ckt, 6, opts)
 		_, _, widthErr := MinWidthCtx(ctx, ckt, 1, opts)
 		ctx.Close()
 		for _, err := range []error{routeErr, widthErr} {
-			if err == nil || errors.Is(err, ErrUnroutable) || err.Error() != `router: unknown algorithm "bogus"` {
-				t.Fatalf("%+v: error %v, want an unknown-algorithm error", opts, err)
+			if err == nil || errors.Is(err, ErrUnroutable) || err.Error() != c.want {
+				t.Fatalf("%+v: error %v, want %s", opts, err, c.want)
 			}
 		}
 		if s := col.Snapshot(); s.Passes != 0 || s.WidthProbes != 0 {

@@ -333,16 +333,25 @@ func TestRecoveryUnresolvableRequestFailsVisibly(t *testing.T) {
 }
 
 // TestSubmitUnknownAlgorithmRejected: a request naming an unknown
-// algorithm or critical algorithm is a 400 that says so, and the service
-// journals nothing for it.
+// algorithm or critical algorithm, or asking the parallel engine for an
+// algorithm other than ikmb or kmb or for critical nets, is a 400 that
+// says so, and the service journals nothing for it.
 func TestSubmitUnknownAlgorithmRejected(t *testing.T) {
 	dir := t.TempDir()
 	svc, _, ts := durableHarness(t, dir, Config{Workers: 1, QueueDepth: 4})
-	for _, opts := range []router.Options{{Algorithm: "bogus"}, {CriticalAlgorithm: "bogus"}} {
+	for _, c := range []struct {
+		opts router.Options
+		want string
+	}{
+		{router.Options{Algorithm: "bogus"}, `unknown algorithm \"bogus\"`},
+		{router.Options{CriticalAlgorithm: "bogus"}, `unknown algorithm \"bogus\"`},
+		{router.Options{Algorithm: router.AlgPFA, Parallel: true}, `parallel mode requires algorithm \"ikmb\" or \"kmb\" (got \"pfa\")`},
+		{router.Options{Parallel: true, CriticalNets: []int{0}}, `parallel mode does not support critical-net classification`},
+	} {
 		for _, mode := range []Mode{ModeRoute, ModeMinWidth} {
-			code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{Mode: mode, Circuit: "busc", Options: opts}, nil)
-			if code != http.StatusBadRequest || !bytes.Contains([]byte(body), []byte(`unknown algorithm \"bogus\"`)) {
-				t.Fatalf("%s %+v: HTTP %d: %s, want 400 naming the algorithm", mode, opts, code, body)
+			code, body := postJSON(t, ts.URL+"/jobs", SubmitRequest{Mode: mode, Circuit: "busc", Options: c.opts}, nil)
+			if code != http.StatusBadRequest || !bytes.Contains([]byte(body), []byte(c.want)) {
+				t.Fatalf("%s %+v: HTTP %d: %s, want 400 saying %s", mode, c.opts, code, body, c.want)
 			}
 		}
 	}
