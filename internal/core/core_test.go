@@ -281,7 +281,7 @@ func TestISPHNeverWorseThanSPH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		isph, err := ISPH(c, net)
+		isph, err := IGMST(c, net, steiner.SPH, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestISPHNeverWorseThanSPH(t *testing.T) {
 func TestISPHRecoversHub(t *testing.T) {
 	g, net := hubGadget(6, 1.99)
 	c := cacheFor(g)
-	isph, err := ISPH(c, net)
+	isph, err := IGMST(c, net, steiner.SPH, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

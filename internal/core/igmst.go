@@ -347,14 +347,6 @@ func IZEL(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 	return IGMST(cache, net, steiner.ZEL, Options{})
 }
 
-// ISPH is the IGMST template instantiated with the Takahashi–Matsuyama
-// shortest-paths heuristic (bound ≤ 2·(1−1/L)). The paper's template
-// accepts *any* base heuristic; ISPH demonstrates that genericity with a
-// base construction of a different character than KMB.
-func ISPH(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
-	return IGMST(cache, net, steiner.SPH, Options{})
-}
-
 // candidatePool returns the candidate node list: the provided pool, or all
 // nodes of g.
 func candidatePool(g *graph.Graph, pool []graph.NodeID) []graph.NodeID {

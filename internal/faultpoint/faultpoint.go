@@ -48,13 +48,13 @@ const (
 	// the route deterministically (lowest net index wins), a panic
 	// exercises the worker→caller panic funnel.
 	PathfinderWorker = "pathfinder/net-worker"
-	// JournalAppend fires before each record is framed and written to the
-	// write-ahead journal (internal/journal). An injected error simulates a
-	// full or failing disk: the journal degrades to read-only and the
-	// service keeps running in-memory (chaos suite).
+	// JournalAppend fires before each append (one record or a batch) is
+	// written to the write-ahead journal (internal/journal). An injected
+	// error simulates a full or failing disk: the journal degrades to
+	// read-only and the service keeps running in-memory (chaos suite).
 	JournalAppend = "journal/append"
-	// JournalFsync fires before the fsync that seals an appended journal
-	// record. An injected error exercises the same read-only degradation
+	// JournalFsync fires before the fsync that seals an append's journal
+	// records. An injected error exercises the same read-only degradation
 	// after the data was written but not durably flushed.
 	JournalFsync = "journal/fsync"
 )

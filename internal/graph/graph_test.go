@@ -366,6 +366,9 @@ func TestMSTLineAndCycle(t *testing.T) {
 	if got := g.TotalWeight(p); got != 6 {
 		t.Fatalf("prim cost = %v, want 6", got)
 	}
+	if got, err := g.MSTCost(); err != nil || got != 6 {
+		t.Fatalf("MSTCost = %v, %v, want 6", got, err)
+	}
 }
 
 func TestMSTDisconnected(t *testing.T) {

@@ -1,5 +1,9 @@
 package graph
 
+// Minimum spanning trees over a whole graph, kept as test oracles: the
+// router never builds one. KMB runs its own Prim over the distance graph
+// of a net (steiner's distanceMSTPairs and KMBRound).
+
 import (
 	"errors"
 	"slices"
@@ -46,9 +50,7 @@ func (g *Graph) KruskalMST() ([]EdgeID, error) {
 }
 
 // PrimMST returns a minimum spanning tree over the enabled edges of g grown
-// from node start, or ErrDisconnected. It is the cross-oracle for Kruskal in
-// tests and the MST of choice on the dense distance graphs built by the
-// Steiner heuristics.
+// from node start, or ErrDisconnected: the cross-oracle for Kruskal.
 func (g *Graph) PrimMST(start NodeID) ([]EdgeID, error) {
 	if g.n == 0 {
 		return nil, nil

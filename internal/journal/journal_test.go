@@ -314,3 +314,102 @@ func TestKeyBoundaries(t *testing.T) {
 		t.Fatal("Key not deterministic")
 	}
 }
+
+// TestJournalBatchAppendOneFsync: a batch appends its records in one write
+// and one fsync (each fault point hit once per call), counts every record
+// in Appended, and leaves the same bytes on disk as appending the records
+// one at a time.
+func TestJournalBatchAppendOneFsync(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	recs := []Record{
+		{Event: EvSubmitted, JobID: "job-000001", Time: time.Unix(10, 0).UTC(), Key: "abc", Request: []byte(`{"mode":"route"}`)},
+		{Event: EvDone, JobID: "job-000001", Time: time.Unix(10, 0).UTC(), Key: "abc", Width: 9},
+	}
+	single, singlePath := openClean(t, Options{})
+	for _, rec := range recs {
+		if err := single.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	single.Close()
+
+	batch, batchPath := openClean(t, Options{})
+	faultpoint.Arm(faultpoint.JournalAppend, faultpoint.Plan{}) // count hits, never fire
+	faultpoint.Arm(faultpoint.JournalFsync, faultpoint.Plan{})
+	if err := batch.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := faultpoint.Hits(faultpoint.JournalAppend), faultpoint.Hits(faultpoint.JournalFsync); w != 1 || s != 1 {
+		t.Fatalf("batch of %d hit the append point %d times and the fsync point %d times, want 1 and 1", len(recs), w, s)
+	}
+	if got := batch.Appended(); got != int64(len(recs)) {
+		t.Fatalf("Appended() = %d, want %d", got, len(recs))
+	}
+	if err := batch.Append(); err != nil || batch.Appended() != int64(len(recs)) || faultpoint.Hits(faultpoint.JournalFsync) != 1 {
+		t.Fatalf("an empty batch wrote or failed: err %v, Appended %d", err, batch.Appended())
+	}
+	batch.Close()
+
+	want, err := os.ReadFile(singlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(batchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("batched log differs from record-by-record log:\n%q\nvs\n%q", got, want)
+	}
+}
+
+// TestJournalBatchTornSecondFrame: a crash that tears a batch's second
+// frame replays the first record alone, as a crash between two separate
+// appends would, and truncates the torn bytes.
+func TestJournalBatchTornSecondFrame(t *testing.T) {
+	j, path := openClean(t, Options{})
+	appendN(t, j, 1)
+	j.Close()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := info.Size()
+
+	j2, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Record{Event: EvSubmitted, JobID: "job-b", Time: time.Unix(20, 0).UTC(), Key: "k"}
+	second := Record{Event: EvDone, JobID: "job-b", Time: time.Unix(20, 0).UTC(), Key: "k", Width: 7}
+	if err := j2.Append(first, second); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	info, err = os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first frame's length field says where the second frame starts.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondAt := before + frameHeader + int64(binary.LittleEndian.Uint32(raw[before:before+4]))
+	cut := secondAt + (info.Size()-secondAt)/2
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
+	}
+
+	j3, rep, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if len(rep.Records) != 2 || rep.Records[1].Event != EvSubmitted || rep.Records[1].JobID != "job-b" {
+		t.Fatalf("torn batch replayed %+v, want the earlier record and job-b's submitted record", rep.Records)
+	}
+	if rep.SalvagedBytes != cut-secondAt {
+		t.Fatalf("salvaged %d bytes, want the %d torn bytes of the second frame", rep.SalvagedBytes, cut-secondAt)
+	}
+}

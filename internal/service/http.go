@@ -139,12 +139,37 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, err := j.Result()
+	rr, entry, err := j.Result()
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	body, err := entry.encoded()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeResult(w, rr, body)
+}
+
+// writeResult writes rr as writeJSON(w, 200, rr) does, byte for byte, with
+// the result's cached encoding in place of encoding rr.Result again.
+func writeResult(w http.ResponseWriter, rr ResultResponse, result []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	str := func(v string) []byte {
+		b, _ := json.Marshal(v) // a string always encodes
+		return b
+	}
+	head := fmt.Appendf(nil, "{\n  \"id\": %s,\n  \"mode\": %s,\n  \"width\": %d,\n  \"complete\": %t,\n",
+		str(rr.ID), str(string(rr.Mode)), rr.Width, rr.Complete)
+	if rr.Error != "" {
+		head = fmt.Appendf(head, "  \"error\": %s,\n", str(rr.Error))
+	}
+	head = append(head, `  "result": `...)
+	w.Write(head)
+	w.Write(result)
+	w.Write([]byte("\n}\n"))
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {

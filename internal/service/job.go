@@ -144,6 +144,7 @@ type Job struct {
 	id      string
 	mode    Mode
 	ckt     *circuits.Circuit
+	cktJSON []byte // a named circuit's wire JSON, from the memo (nil inline)
 	cktName string // survives recovery of terminal jobs, whose ckt stays nil
 	opts    router.Options
 	width   int // route mode: channel width; minwidth mode: start width
@@ -164,9 +165,9 @@ type Job struct {
 	mu          sync.Mutex
 	state       State
 	err         string
-	stack       string // recovered panic stack, when the job failed from one
-	result      *router.Result
-	complete    bool // result is a finished answer, not a partial snapshot
+	stack       string       // recovered panic stack, when the job failed from one
+	result      *resultEntry // nil until a result exists; shared by cache hits
+	complete    bool         // result is a finished answer, not a partial snapshot
 	attempts    int
 	outWidth    int
 	checkpoints int
@@ -178,8 +179,9 @@ type Job struct {
 }
 
 // resolveJob validates a submit request into a runnable job (without ID or
-// cancellation plumbing, which the service attaches on admission).
-func resolveJob(req *SubmitRequest) (*Job, error) {
+// cancellation plumbing, which the service attaches on admission). A named
+// circuit comes from memo, synthesized there on a miss.
+func resolveJob(req *SubmitRequest, memo *circuitMemo) (*Job, error) {
 	if req.Mode != ModeRoute && req.Mode != ModeMinWidth {
 		return nil, fmt.Errorf("mode must be %q or %q", ModeRoute, ModeMinWidth)
 	}
@@ -237,12 +239,12 @@ func resolveJob(req *SubmitRequest) (*Job, error) {
 		if seed == 0 {
 			seed = 1
 		}
-		ckt, err := circuits.Synthesize(spec, seed)
+		nc, err := memo.get(spec, seed)
 		if err != nil {
 			return nil, err
 		}
-		job.ckt = ckt
-		job.cktName = ckt.Name
+		job.ckt, job.cktJSON = nc.ckt, nc.wire
+		job.cktName = nc.ckt.Name
 		paperBest = spec.PaperIKMB
 	}
 	switch req.Mode {
@@ -297,7 +299,7 @@ func (j *Job) begin() bool {
 // deadline expiry) separately from routing failure. An interrupted or
 // failed run that still produced a partial result keeps it, so GET
 // /jobs/{id}/result can serve the best-effort answer with complete=false.
-func (j *Job) finish(width int, res *router.Result, err error, attempts int) State {
+func (j *Job) finish(width int, res *resultEntry, err error, attempts int) State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
@@ -373,24 +375,24 @@ func (j *Job) Status() Status {
 
 // Result returns the routing result once the job is terminal: the full
 // answer of a done job (Complete true), or the best partial result of a
-// canceled/failed one (Complete false, Error explaining why). A terminal
-// job with nothing routed — and any job still queued or running — has no
-// result to serve.
-func (j *Job) Result() (ResultResponse, error) {
+// canceled/failed one (Complete false, Error explaining why), with the
+// entry holding its cached encoding. A terminal job with nothing routed —
+// and any job still queued or running — has no result to serve.
+func (j *Job) Result() (ResultResponse, *resultEntry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.state.terminal() || j.result == nil {
-		return ResultResponse{}, fmt.Errorf("job %s is %s, not %s", j.id, j.state, StateDone)
+		return ResultResponse{}, nil, fmt.Errorf("job %s is %s, not %s", j.id, j.state, StateDone)
 	}
 	rr := ResultResponse{
 		ID:       j.id,
 		Mode:     j.mode,
 		Width:    j.outWidth,
 		Complete: j.complete,
-		Result:   j.result,
+		Result:   j.result.res,
 	}
 	if !j.complete {
 		rr.Error = j.err
 	}
-	return rr, nil
+	return rr, j.result, nil
 }

@@ -18,6 +18,7 @@ func (s *Service) WriteMetrics(w io.Writer) {
 			metricsPrefix, name, help, metricsPrefix, name, kind, metricsPrefix, name, v)
 	}
 	metric("counter", "jobs_submitted_total", "Jobs admitted to the queue.", s.submitted.Load())
+	metric("counter", "jobs_cache_hits_total", "Submissions answered done on arrival from the result cache.", s.cacheHits.Load())
 	metric("counter", "jobs_rejected_total", "Submissions rejected (queue full or draining).", s.rejected.Load())
 	fmt.Fprintf(w, "# HELP %s_jobs_completed_total Jobs finished, by terminal state.\n", metricsPrefix)
 	fmt.Fprintf(w, "# TYPE %s_jobs_completed_total counter\n", metricsPrefix)

@@ -166,8 +166,8 @@ func (s *Service) recoverJob(h *jobHistory, report *RecoveryReport) (*Job, bool)
 		job.outWidth = h.last.Width
 		job.attempts = h.last.Attempts
 		if stored, ok := s.lookupResult(h.last.Key); ok {
-			job.result = stored.Result
-			job.outWidth = stored.Width
+			job.result = stored
+			job.outWidth = stored.width
 		}
 		report.Completed++
 		return job, false
@@ -199,7 +199,7 @@ func (s *Service) recoverJob(h *jobHistory, report *RecoveryReport) (*Job, bool)
 	if reqErr != nil {
 		return terminalErr("journaled request unreadable: " + reqErr.Error()), false
 	}
-	job, err := resolveJob(&req)
+	job, err := resolveJob(&req, &s.circuits)
 	if err != nil {
 		return terminalErr("journaled request no longer resolves: " + err.Error()), false
 	}

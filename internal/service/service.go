@@ -96,8 +96,15 @@ type Service struct {
 	wg      sync.WaitGroup
 	running atomic.Int64
 
+	// circuits memoizes named circuits; index maps content keys to the
+	// *resultEntry answering them, for as long as the process lives, like
+	// the job registry (see cache.go).
+	circuits circuitMemo
+	index    sync.Map
+
 	submitted atomic.Int64
 	rejected  atomic.Int64
+	cacheHits atomic.Int64
 	completed [3]atomic.Int64 // done, failed, canceled
 
 	// durMu guards the ring of recent job wall times feeding the computed
@@ -151,16 +158,20 @@ func (s *Service) startWorkers() {
 	}
 }
 
-// journalAppend writes one lifecycle record to the journal, if any. Append
-// failures degrade durability, never availability: the error is counted and
-// the service keeps running in-memory (/readyz reports the degradation).
-func (s *Service) journalAppend(rec journal.Record) {
+// journalAppend writes lifecycle records to the journal, if any, in one
+// append. Append failures degrade durability, never availability: each
+// dropped record is counted and the service keeps running in-memory
+// (/readyz reports the degradation).
+func (s *Service) journalAppend(recs ...journal.Record) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	rec.Time = time.Now().UTC()
-	if err := s.cfg.Journal.Append(rec); err != nil {
-		s.stats.Record(func(st *stats.Snapshot) { st.JournalAppendErrors++ })
+	now := time.Now().UTC()
+	for i := range recs {
+		recs[i].Time = now
+	}
+	if err := s.cfg.Journal.Append(recs...); err != nil {
+		s.stats.Record(func(st *stats.Snapshot) { st.JournalAppendErrors += int64(len(recs)) })
 	}
 }
 
@@ -176,11 +187,15 @@ func (s *Service) JournalDegraded() error {
 // contentKey computes the job's result-store address: the hash of
 // everything that determines the answer — mode, the resolved circuit
 // (synthesis seed folded in), the width, and the routing options. Timeout
-// and retry policy are deliberately excluded.
+// and retry policy are deliberately excluded. A named circuit's JSON comes
+// from the memo; an inline netlist is marshaled here.
 func contentKey(job *Job) (string, error) {
-	cktJSON, err := json.Marshal(job.ckt)
-	if err != nil {
-		return "", err
+	cktJSON := job.cktJSON
+	if cktJSON == nil {
+		var err error
+		if cktJSON, err = json.Marshal(job.ckt); err != nil {
+			return "", err
+		}
 	}
 	optsJSON, err := json.Marshal(job.opts)
 	if err != nil {
@@ -205,10 +220,11 @@ func (s *Service) Stats() *stats.Collector { return s.stats }
 //
 // With a result store configured, submission is idempotent on content: a
 // request whose (mode, circuit, width, options) was already completed is
-// answered from the store — the returned status is already done, with
-// CacheHit set — without consuming a queue slot.
+// answered from the in-memory index or else the store — the returned
+// status is already done, with CacheHit set — without consuming a queue
+// slot, and its two journal records share one append.
 func (s *Service) Submit(req *SubmitRequest) (Status, error) {
-	job, err := resolveJob(req)
+	job, err := resolveJob(req, &s.circuits)
 	if err != nil {
 		return Status{}, Classify(ErrBadRequest, err)
 	}
@@ -247,35 +263,26 @@ func (s *Service) Submit(req *SubmitRequest) (Status, error) {
 		job.state = StateDone
 		job.cacheHit = true
 		job.complete = true
-		job.outWidth = cached.Width
-		job.result = cached.Result
+		job.outWidth = cached.width
+		job.result = cached
 		job.started = job.submitted
 		job.finished = time.Now()
 	}
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
 	s.submitted.Add(1)
-	s.journalAppend(journal.Record{Event: journal.EvSubmitted, JobID: job.id, Key: job.key, Request: reqRaw})
+	recs := []journal.Record{{Event: journal.EvSubmitted, JobID: job.id, Key: job.key, Request: reqRaw}}
 	if haveCached {
 		s.completed[cDone].Add(1)
-		s.journalAppend(journal.Record{Event: journal.EvDone, JobID: job.id, Key: job.key, Width: job.outWidth})
+		s.cacheHits.Add(1)
+		recs = append(recs, journal.Record{Event: journal.EvDone, JobID: job.id, Key: job.key, Width: job.outWidth})
 	}
+	s.journalAppend(recs...)
 	st := job.Status()
 	if !haveCached {
 		s.queue <- job
 	}
 	return st, nil
-}
-
-// lookupResult consults the result store for a completed answer under key
-// (a miss, a read error, or no store all report false).
-func (s *Service) lookupResult(key string) (storedResult, bool) {
-	var stored storedResult
-	if s.cfg.Results == nil || key == "" {
-		return stored, false
-	}
-	ok, err := s.cfg.Results.Get(key, &stored)
-	return stored, ok && err == nil && stored.Result != nil
 }
 
 // Job looks up a job by ID.
@@ -439,17 +446,25 @@ func (s *Service) run(rc *router.Context, job *Job) *router.Context {
 		s.stats.Record(func(st *stats.Snapshot) { st.PartialResults++ })
 	}
 	s.observeJobDuration(time.Since(start))
+	var entry *resultEntry
+	if res != nil {
+		entry = &resultEntry{width: width, res: res}
+	}
 	// Persist a successful result BEFORE finish publishes done and before
 	// the done journal record: a client that polls to done and resubmits
-	// must hit the store, and a crash between Put and the record replays
+	// must hit the cache, and a crash between Put and the record replays
 	// the job as interrupted and re-runs it — never as done with a missing
-	// result. finish maps a nil error to done unconditionally.
+	// result. Only a stored result is indexed, so a failed Put leaves the
+	// next resubmission to recompute. finish maps a nil error to done
+	// unconditionally.
 	if err == nil && s.cfg.Results != nil && job.key != "" {
 		if perr := s.cfg.Results.Put(job.key, storedResult{Width: width, Result: res}); perr != nil {
 			s.stats.Record(func(st *stats.Snapshot) { st.JournalAppendErrors++ })
+		} else if entry != nil {
+			s.index.Store(job.key, entry)
 		}
 	}
-	switch job.finish(width, res, err, attempts) {
+	switch job.finish(width, entry, err, attempts) {
 	case StateDone:
 		s.completed[cDone].Add(1)
 		s.journalAppend(journal.Record{Event: journal.EvDone, JobID: job.id, Key: job.key, Width: width, Attempts: attempts})

@@ -483,6 +483,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fpgarouter_jobs_submitted_total 1",
+		"# TYPE fpgarouter_jobs_cache_hits_total counter\nfpgarouter_jobs_cache_hits_total 0\n",
 		`fpgarouter_jobs_completed_total{state="done"} 1`,
 		"fpgarouter_workers 2",
 		"# TYPE fpgarouter_sssp_runs_total counter",

@@ -8,7 +8,8 @@ import "fpgarouter/internal/graph"
 // tree built so far by a shortest path. Like KMB its performance ratio is
 // 2·(1−1/L); in practice the two differ instance by instance, which makes
 // SPH a useful additional base heuristic for the paper's iterated template
-// (core.ISPH) and a sanity cross-check for KMB.
+// (the router's "isph" runs core.IGMSTStats over it) and a sanity cross-check
+// for KMB.
 func SPH(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 	if err := CheckNet(cache, net); err != nil {
 		return graph.Tree{}, err
