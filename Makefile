@@ -45,13 +45,18 @@ check:
 chaos:
 	$(GO) test -race -run 'Chaos|Fault' ./...
 
-# Router micro-benchmarks (human-readable).
+# The benchmarks BENCH_router.json tracks, timed once (human-readable).
+# scripts/bench-json.sh declares their pattern.
 bench:
-	$(GO) test -bench 'IKMB_|MinWidth|CandidateScan' -benchmem -run '^$$' .
+	$(GO) test -bench "$$(sed -n "s/^full='\(.*\)'$$/\1/p" scripts/bench-json.sh)" -benchmem -run '^$$' .
 
-# Machine-readable benchmark results for cross-commit comparison.
+# Machine-readable benchmark results for cross-commit comparison: five
+# round-robin runs of the root package's tracked benchmarks, folded into
+# medians. Commit the code first, then run this and commit
+# BENCH_router.json on its own, so that its git_commit names the commit
+# whose code was timed.
 bench-json:
-	$(GO) run ./cmd/tables -bench-json BENCH_router.json
+	scripts/bench-json.sh BENCH_router.json
 
 # Regenerate the paper's tables and figures (slow).
 tables:
@@ -64,4 +69,3 @@ serve:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_router.json

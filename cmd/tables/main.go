@@ -44,8 +44,6 @@ func main() {
 		segment    = flag.String("segmentation", "", "run the channel-segmentation study on this circuit (e.g. term1)")
 		pathfind   = flag.Bool("pathfinder", false, "route every paper circuit at its paper width with both engines: iterations, wirelengths, wall times")
 		useStats   = flag.Bool("stats", false, "print aggregate router work counters after the sweeps")
-		benchOut   = flag.String("bench-json", "", "run the router micro-benchmarks and write JSON results to this file")
-		benchQuick = flag.Bool("bench-quick", false, "with -bench-json: skip the whole-circuit benchmarks (CI smoke subset)")
 		timeout    = flag.Duration("timeout", 0, "abandon the table/figure sweeps after this long (0 = unbounded)")
 		workers    = flag.Int("cand-workers", 0, "candidate-scan worker goroutines per net (0 = GOMAXPROCS capped at 8, 1 = sequential)")
 		singleStep = flag.Bool("single", false, "single-step Steiner-point admission (one candidate per scan round, the paper's Figure 5 template)")
@@ -68,16 +66,7 @@ func main() {
 		stopProf()
 		os.Exit(code)
 	}
-	if *benchOut != "" {
-		if err := writeBenchJSON(*benchOut, *benchQuick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		if !*all && *table == 0 && *figure == 0 && !*tradeoff && *segment == "" && !*pathfind {
-			return
-		}
-	}
-	if !*all && *table == 0 && *figure == 0 && !*tradeoff && *segment == "" && *benchOut == "" && !*pathfind {
+	if !*all && *table == 0 && *figure == 0 && !*tradeoff && *segment == "" && !*pathfind {
 		flag.Usage()
 		exit(2)
 	}

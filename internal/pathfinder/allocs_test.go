@@ -1,26 +1,6 @@
 package pathfinder
 
-import (
-	"testing"
-)
-
-// BenchmarkRouteBuscIncremental times one converged pathfinder run on
-// busc at the paper's width.
-func BenchmarkRouteBuscIncremental(b *testing.B) {
-	spec := specNamed(b, "busc")
-	fab, ckt := synth(b, spec, spec.PaperIKMB)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Route(fab, ckt.Nets, Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Converged {
-			b.Fatal("no convergence at the paper width")
-		}
-	}
-}
+import "testing"
 
 // TestRouteAllocsBounded pins the per-run pooling: workers, overlays and
 // reconnect buffers are acquired once per run and reused by every
