@@ -195,7 +195,7 @@ func BenchmarkFigure14IDOM(b *testing.B) {
 
 func BenchmarkFigure16Render(b *testing.B) {
 	ckt := synthBench(b, "busc")
-	res, fab, err := router.RouteWithFabric(ckt, 7, router.Options{MaxPasses: 8})
+	res, fab, err := router.RouteWithFabricCtx(nil, ckt, 7, router.Options{MaxPasses: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func BenchmarkMinWidth(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := router.MinWidth(ckt, 7, router.Options{MaxPasses: 6}); err != nil {
+		if _, _, err := router.MinWidthCtx(nil, ckt, 7, router.Options{MaxPasses: 6}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -665,7 +665,7 @@ func BenchmarkTradeoffBaselines(b *testing.B) {
 // the full-graph run on a busc-sized fabric.
 func BenchmarkDijkstraStopSet(b *testing.B) {
 	ckt := synthBench(b, "busc")
-	res, fab, err := router.RouteWithFabric(ckt, 8, router.Options{MaxPasses: 8})
+	res, fab, err := router.RouteWithFabricCtx(nil, ckt, 8, router.Options{MaxPasses: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,11 +7,13 @@
 //	fpgaroute -circuit busc                  # route at the best known width
 //	fpgaroute -circuit alu4 -alg idom -min   # minimum-width search with IDOM
 //	fpgaroute -circuit busc -width 9 -svg out.svg -ascii
+//	fpgaroute -netlist demo.json -width 4    # route a JSON netlist file
 //	fpgaroute -list                          # list available circuits
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,7 +32,7 @@ func main() {
 	var (
 		name     = flag.String("circuit", "busc", "benchmark circuit name")
 		alg      = flag.String("alg", "ikmb", "routing algorithm: kmb|zel|sph|ikmb|izel|isph|djka|dom|pfa|idom")
-		netlist  = flag.String("netlist", "", "route this netlist file instead of a synthesized benchmark")
+		netlist  = flag.String("netlist", "", "route this JSON netlist file (the internal/circuits format) instead of a synthesized benchmark")
 		critical = flag.String("critical", "", "comma-separated net IDs to route as critical nets (with idom)")
 		width    = flag.Int("width", 0, "channel width (0 = paper's best known)")
 		minW     = flag.Bool("min", false, "search for the minimum channel width")
@@ -78,15 +80,14 @@ func main() {
 	var ckt *circuits.Circuit
 	var spec circuits.Spec
 	if *netlist != "" {
-		f, err := os.Open(*netlist)
+		data, err := os.ReadFile(*netlist)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
-		ckt, err = circuits.Parse(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		ckt = new(circuits.Circuit)
+		if err := json.Unmarshal(data, ckt); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: expected a JSON netlist: %v\n", *netlist, err)
 			exit(1)
 		}
 		spec = ckt.Spec
@@ -130,21 +131,20 @@ func main() {
 			fmt.Print(col.Snapshot())
 		}
 	}
-	cc := context.Background()
 	if *timeout > 0 {
-		var cancel context.CancelFunc
-		cc, cancel = context.WithTimeout(cc, *timeout)
+		cc, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
+		defer ctx.Bind(cc, nil)()
 	}
 
 	start := time.Now()
 	if *minW {
-		w, res, complete, err := router.MinWidthContext(cc, ctx, ckt, spec.PaperIKMB, opts)
+		w, res, err := router.MinWidthCtx(ctx, ckt, spec.PaperIKMB, opts)
 		if err != nil && res == nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
-		if complete {
+		if err == nil {
 			fmt.Printf("%s: minimum channel width %d (%d passes at that width, %.0f wirelength, %v)\n",
 				spec.Name, w, res.Passes, res.Wirelength, time.Since(start).Round(time.Millisecond))
 		} else {
@@ -155,7 +155,7 @@ func main() {
 				spec.Name, w, res.Passes, res.Wirelength, time.Since(start).Round(time.Millisecond))
 		}
 		printStats()
-		if !complete {
+		if err != nil {
 			exit(1)
 		}
 		return
@@ -165,7 +165,7 @@ func main() {
 	if w == 0 {
 		w = spec.PaperIKMB
 	}
-	res, fab, err := router.RouteWithFabricContext(cc, ctx, ckt, w, opts)
+	res, fab, err := router.RouteWithFabricCtx(ctx, ckt, w, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "routing failed: %v\n", err)
 		if res != nil && res.Partial {

@@ -27,6 +27,7 @@ import (
 	"fpgarouter/internal/circuits"
 	"fpgarouter/internal/experiments"
 	"fpgarouter/internal/prof"
+	"fpgarouter/internal/router"
 	"fpgarouter/internal/stats"
 )
 
@@ -78,7 +79,7 @@ func main() {
 			*passes = 8
 		}
 	}
-	cfg := experiments.RouterConfig{Seed: *seed, MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *singleStep, Parallel: *parallel, NetWorkers: *netWork}
+	cfg := experiments.RouterConfig{Seed: *seed, Options: router.Options{MaxPasses: *passes, CandidateWorkers: *workers, SingleStep: *singleStep, Parallel: *parallel, NetWorkers: *netWork}}
 	if *timeout > 0 {
 		cc, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()

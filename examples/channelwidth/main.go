@@ -25,7 +25,7 @@ func main() {
 		len(ckt.Nets), spec.Cols, spec.Rows, spec.CGE, spec.PaperIKMB)
 
 	start := time.Now()
-	w, res, err := router.MinWidth(ckt, spec.PaperIKMB, router.Options{
+	w, res, err := router.MinWidthCtx(nil, ckt, spec.PaperIKMB, router.Options{
 		Algorithm: router.AlgIKMB,
 		MaxPasses: 12,
 	})
@@ -40,7 +40,7 @@ func main() {
 	// Re-route at the minimum width to obtain the committed fabric, then
 	// render the utilization map (Figure 16 in the paper shows the routed
 	// solution for this same circuit).
-	_, fab, err := router.RouteWithFabric(ckt, w, router.Options{MaxPasses: 12})
+	_, fab, err := router.RouteWithFabricCtx(nil, ckt, w, router.Options{MaxPasses: 12})
 	if err != nil {
 		panic(err)
 	}

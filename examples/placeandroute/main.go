@@ -52,7 +52,7 @@ func main() {
 		name string
 		c    *circuits.Circuit
 	}{{"scrambled", bad}, {"annealed", placed}} {
-		w, res, err := router.MinWidth(tc.c, 8, router.Options{MaxPasses: 8})
+		w, res, err := router.MinWidthCtx(nil, tc.c, 8, router.Options{MaxPasses: 8})
 		if err != nil {
 			fmt.Printf("%-10s: %v\n", tc.name, err)
 			continue

@@ -3,16 +3,17 @@ package circuits
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"fpgarouter/internal/fpga"
 )
 
-// The JSON wire format.
+// The netlist format.
 //
-// This is the machine interface mirror of the line-oriented netlist text
-// format (io.go): cmd/routed accepts inline netlists in this shape, and
-// test fixtures use it for golden round trips. Pins reuse the text format's
-// "x,y,SIDE,index" tuple so both formats validate identically:
+// A netlist is a JSON document naming the circuit, its FPGA family and
+// array size, and listing each net's pins as "x,y,SIDE,index" tuples (SIDE
+// one of N/E/S/W), the first pin being the signal source:
 //
 //	{
 //	  "name": "busc", "series": "3000", "cols": 12, "rows": 13,
@@ -22,9 +23,11 @@ import (
 //	  ]
 //	}
 //
-// Only the structural fields travel: published-width metadata of the Spec
-// (CGE, PaperIKMB, …) is dropped on encode, and the pin histogram is
-// rebuilt on decode, exactly as the text parser does.
+// cmd/fpgaroute reads it from its -netlist file, cmd/routed accepts it as
+// an inline netlist, and test fixtures use it for golden round trips. Only
+// the structural fields travel: published-width metadata of the Spec (CGE,
+// PaperIKMB, …) is dropped on encode, and the pin histogram is rebuilt on
+// decode.
 
 type circuitWire struct {
 	Name   string    `json:"name"`
@@ -39,7 +42,7 @@ type netWire struct {
 	Pins []string `json:"pins"`
 }
 
-// MarshalJSON encodes the circuit in the JSON wire format.
+// MarshalJSON encodes the circuit in the netlist format.
 func (c *Circuit) MarshalJSON() ([]byte, error) {
 	w := circuitWire{Name: c.Name, Series: "4000", Cols: c.Cols, Rows: c.Rows}
 	if c.Series == Series3000 {
@@ -56,13 +59,13 @@ func (c *Circuit) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes a circuit from the JSON wire format, applying the
-// same validation as the text parser: a positive array size, every pin
-// inside the array, and at least two pins per net.
+// UnmarshalJSON decodes and validates a circuit in the netlist format: a
+// known series, a positive array size, every pin well-formed and inside
+// the array, and at least two pins per net.
 func (c *Circuit) UnmarshalJSON(data []byte) error {
 	var w circuitWire
 	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+		return fmt.Errorf("circuits: %w", err)
 	}
 	var series Series
 	switch w.Series {
@@ -91,13 +94,38 @@ func (c *Circuit) UnmarshalJSON(data []byte) error {
 		}
 		out.Nets = append(out.Nets, net)
 	}
-	out.rebuildHistogram()
+	out.Nets2_3, out.Nets4_10, out.NetsOver10 = out.PinHistogram()
 	*c = out
 	return nil
 }
 
-// rebuildHistogram refreshes the Spec's pin-count statistics from the
-// actual nets (shared by the text parser and the JSON decoder).
-func (c *Circuit) rebuildHistogram() {
-	c.Nets2_3, c.Nets4_10, c.NetsOver10 = c.PinHistogram()
+// parsePin parses an "x,y,SIDE,index" tuple.
+func parsePin(tok string, cols, rows int) (fpga.Pin, error) {
+	parts := strings.Split(tok, ",")
+	if len(parts) != 4 {
+		return fpga.Pin{}, fmt.Errorf("bad pin %q (want x,y,SIDE,index)", tok)
+	}
+	x, err1 := strconv.Atoi(parts[0])
+	y, err2 := strconv.Atoi(parts[1])
+	idx, err3 := strconv.Atoi(parts[3])
+	if err1 != nil || err2 != nil || err3 != nil {
+		return fpga.Pin{}, fmt.Errorf("bad pin %q", tok)
+	}
+	var side fpga.Side
+	switch parts[2] {
+	case "N":
+		side = fpga.North
+	case "E":
+		side = fpga.East
+	case "S":
+		side = fpga.South
+	case "W":
+		side = fpga.West
+	default:
+		return fpga.Pin{}, fmt.Errorf("bad pin side %q in %q", parts[2], tok)
+	}
+	if x < 0 || x >= cols || y < 0 || y >= rows || idx < 0 {
+		return fpga.Pin{}, fmt.Errorf("pin %q outside the %dx%d array", tok, cols, rows)
+	}
+	return fpga.Pin{X: x, Y: y, Side: side, Index: idx}, nil
 }

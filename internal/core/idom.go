@@ -16,12 +16,7 @@ import (
 // best possible for the GSA problem unless NP has slightly superpolynomial
 // deterministic algorithms (via the Set Cover hardness of Figure 14).
 func IDOM(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
-	return IDOMOpts(cache, net, Options{})
-}
-
-// IDOMOpts is IDOM with template options (candidate scoping, batching).
-func IDOMOpts(cache *graph.SPTCache, net []graph.NodeID, opts Options) (graph.Tree, error) {
-	t, _, err := IDOMStats(cache, net, opts)
+	t, _, err := IDOMStats(cache, net, Options{})
 	return t, err
 }
 

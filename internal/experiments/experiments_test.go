@@ -7,6 +7,7 @@ import (
 
 	"fpgarouter/internal/circuits"
 	"fpgarouter/internal/router"
+	"fpgarouter/internal/stats"
 )
 
 func rowByName(rows []Table1Row, name string) Table1Row {
@@ -135,9 +136,15 @@ func TestFigure16RendersBusc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routes a full benchmark circuit")
 	}
-	r, err := Figure16(RouterConfig{Seed: 1, MaxPasses: 8})
+	col := stats.New()
+	r, err := Figure16(RouterConfig{Seed: 1, Options: router.Options{MaxPasses: 8}, Stats: col})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Figure 16 routes under the sweep's collector, so tables -stats
+	// counts its passes.
+	if col.Snapshot().Passes == 0 {
+		t.Fatal("the sweep's collector recorded no passes")
 	}
 	if r.Width > 10 {
 		t.Fatalf("busc needed width %d; published CGE result is 10", r.Width)
@@ -155,7 +162,7 @@ func TestMinWidthTerm1BeatsPublished(t *testing.T) {
 		t.Skip("runs a minimum-width search")
 	}
 	spec, _ := circuits.SpecByName("term1")
-	row, err := minWidthFor(spec, router.AlgIKMB, RouterConfig{Seed: 1, MaxPasses: 8})
+	row, err := minWidthFor(spec, router.AlgIKMB, RouterConfig{Seed: 1, Options: router.Options{MaxPasses: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

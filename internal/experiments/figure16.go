@@ -21,7 +21,6 @@ type Figure16Result struct {
 // Figure16 routes busc at the smallest width our router achieves and
 // renders the solution as ASCII channel utilization and an SVG plot.
 func Figure16(cfg RouterConfig) (Figure16Result, error) {
-	cfg = cfg.withDefaults()
 	spec, ok := circuits.SpecByName("busc")
 	if !ok {
 		return Figure16Result{}, fmt.Errorf("figure16: busc spec missing")
@@ -30,8 +29,13 @@ func Figure16(cfg RouterConfig) (Figure16Result, error) {
 	if err != nil {
 		return Figure16Result{}, err
 	}
+	ctx := cfg.newContext()
+	defer ctx.Close()
+	opts := cfg.Options
+	opts.Algorithm = router.AlgIKMB
+	opts.Parallel = false // Figure 16 is the sequential router's solution
 	for w := spec.PaperIKMB; w <= 4*spec.CGE; w++ {
-		res, fab, err := router.RouteWithFabricContext(cfg.Ctx, nil, ckt, w, router.Options{MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep})
+		res, fab, err := router.RouteWithFabricCtx(ctx, ckt, w, opts)
 		if err != nil {
 			if errors.Is(err, router.ErrUnroutable) {
 				continue

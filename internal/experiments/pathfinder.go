@@ -33,9 +33,9 @@ func PathfinderTable(cfg RouterConfig) ([]PathfinderRow, error) {
 		row := PathfinderRow{Spec: spec}
 		for _, parallel := range []bool{false, true} {
 			progress("pathfinder table: %s at width %d (parallel=%v)", spec.Name, spec.PaperIKMB, parallel)
-			ctx := router.NewContext(cfg.Stats)
+			ctx := cfg.newContext()
 			start := time.Now()
-			res, err := router.RouteContext(cfg.Ctx, ctx, ckt, spec.PaperIKMB, router.Options{Parallel: parallel})
+			res, err := router.RouteCtx(ctx, ckt, spec.PaperIKMB, router.Options{Parallel: parallel})
 			elapsed := time.Since(start)
 			ctx.Close()
 			if err != nil {

@@ -77,7 +77,7 @@ func Segmentation(circuit string, seed int64, width, passes int) ([]Segmentation
 	}
 	var rows []SegmentationRow
 	for _, s := range schemes {
-		res, fab, err := router.RouteWithFabric(ckt, width, router.Options{
+		res, fab, err := router.RouteWithFabricCtx(nil, ckt, width, router.Options{
 			MaxPasses: passes,
 			SegLens:   s.mix(width),
 		})

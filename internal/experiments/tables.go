@@ -20,11 +20,14 @@ func progress(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
-// RouterConfig bundles the knobs shared by the router-based experiments
-// (Tables 2–5). The zero value is completed with the paper's settings.
+// RouterConfig bundles what the router-based experiments (Tables 2–5,
+// Figure 16 and the pathfinder table) share.
 type RouterConfig struct {
-	Seed      int64 // circuit synthesis seed
-	MaxPasses int   // feasibility threshold (paper: 20)
+	Seed int64 // circuit synthesis seed
+	// Options is the sweep's base router.Options: each sweep copies it and
+	// sets its own algorithm. The zero value routes with the router's
+	// defaults (the paper's 20 passes in the sequential mode).
+	Options router.Options
 	// Stats, when non-nil, accumulates router work counters (SSSP runs,
 	// rip-ups, width probes, …) across every routing call of the sweep.
 	Stats *stats.Collector
@@ -32,33 +35,14 @@ type RouterConfig struct {
 	// -timeout) abandons in-flight routing at the router's pass/net
 	// boundaries with router.ErrCanceled.
 	Ctx context.Context
-	// CandidateWorkers is forwarded to router.Options.CandidateWorkers for
-	// every routing call of the sweep (0 = GOMAXPROCS capped at 8, 1 =
-	// sequential; results are identical at every setting).
-	CandidateWorkers int
-	// SingleStep is forwarded to router.Options.SingleStep: one-candidate-
-	// per-round Steiner admission (the paper's Figure 5 template) instead
-	// of the router's default batched admission.
-	SingleStep bool
-	// Parallel is forwarded to router.Options.Parallel: the net-parallel
-	// negotiated-congestion router (internal/pathfinder) instead of the
-	// sequential rip-up/re-route loop. Only the kmb/ikmb algorithms
-	// support it; sweeps over other algorithms fail with a clear error.
-	Parallel bool
-	// NetWorkers is forwarded to router.Options.NetWorkers: net-routing
-	// goroutines per pathfinder iteration (0 = GOMAXPROCS capped at 8;
-	// results are identical for any worker count).
-	NetWorkers int
 }
 
-func (c RouterConfig) withDefaults() RouterConfig {
-	// Parallel mode keeps MaxPasses 0 so router.Options picks its own,
-	// larger iteration budget (pathfinder iterations are much cheaper
-	// than full rip-up passes).
-	if c.MaxPasses == 0 && !c.Parallel {
-		c.MaxPasses = 20
-	}
-	return c
+// newContext opens a routing context that records into the sweep's
+// collector and is bound to its cancellation.
+func (c RouterConfig) newContext() *router.Context {
+	ctx := router.NewContext(c.Stats)
+	ctx.Bind(c.Ctx, nil)
+	return ctx
 }
 
 // WidthRow is one circuit's minimum-channel-width result.
@@ -90,16 +74,11 @@ func minWidthFor(spec circuits.Spec, alg string, cfg RouterConfig) (WidthRow, er
 		start = 6
 	}
 	progress("min-width search: %s with %s (start %d)", spec.Name, alg, start)
-	ctx := router.NewContext(cfg.Stats)
+	ctx := cfg.newContext()
 	defer ctx.Close()
-	w, res, _, err := router.MinWidthContext(cfg.Ctx, ctx, ckt, start, router.Options{
-		Algorithm:        alg,
-		MaxPasses:        cfg.MaxPasses,
-		CandidateWorkers: cfg.CandidateWorkers,
-		SingleStep:       cfg.SingleStep,
-		Parallel:         cfg.Parallel,
-		NetWorkers:       cfg.NetWorkers,
-	})
+	opts := cfg.Options
+	opts.Algorithm = alg
+	w, res, err := router.MinWidthCtx(ctx, ckt, start, opts)
 	if err != nil {
 		return WidthRow{}, fmt.Errorf("%s/%s: %w", spec.Name, alg, err)
 	}
@@ -110,7 +89,6 @@ func minWidthFor(spec circuits.Spec, alg string, cfg RouterConfig) (WidthRow, er
 // Table2 reproduces Table 2: minimum channel width of the five 3000-series
 // circuits using the IKMB-based router, against CGE's published widths.
 func Table2(cfg RouterConfig) ([]WidthRow, error) {
-	cfg = cfg.withDefaults()
 	var rows []WidthRow
 	for _, spec := range circuits.Table2Circuits {
 		row, err := minWidthFor(spec, router.AlgIKMB, cfg)
@@ -126,7 +104,6 @@ func Table2(cfg RouterConfig) ([]WidthRow, error) {
 // circuits using the IKMB-based router, against SEGA's and GBP's published
 // widths.
 func Table3(cfg RouterConfig) ([]WidthRow, error) {
-	cfg = cfg.withDefaults()
 	var rows []WidthRow
 	for _, spec := range circuits.Table3Circuits {
 		row, err := minWidthFor(spec, router.AlgIKMB, cfg)
@@ -182,7 +159,6 @@ type Table4Row struct {
 // circuits under IKMB (wirelength only) vs PFA and IDOM (wirelength and
 // optimal pathlength). The expected ordering is IKMB ≤ IDOM ≤ PFA.
 func Table4(cfg RouterConfig) ([]Table4Row, error) {
-	cfg = cfg.withDefaults()
 	var rows []Table4Row
 	for _, spec := range circuits.Table3Circuits {
 		row := Table4Row{Spec: spec}
@@ -239,7 +215,9 @@ type Table5Row struct {
 // of them), and we report PFA/IDOM wirelength increase and max-pathlength
 // decrease relative to IKMB.
 func Table5(cfg RouterConfig) ([]Table5Row, error) {
-	cfg = cfg.withDefaults()
+	ctx := cfg.newContext()
+	defer ctx.Close()
+	opts := cfg.Options
 	var rows []Table5Row
 	algs := []string{router.AlgIKMB, router.AlgPFA, router.AlgIDOM}
 	for _, spec := range circuits.Table3Circuits {
@@ -250,15 +228,14 @@ func Table5(cfg RouterConfig) ([]Table5Row, error) {
 		// The paper routes at the smallest width accommodating all three
 		// algorithms; start from the published Table 5 width and widen
 		// until every algorithm succeeds.
-		ctx := router.NewContext(cfg.Stats)
-		defer ctx.Close()
 		var results map[string]*router.Result
 		width := spec.Table5W
 		for ; width <= 4*spec.Table5W; width++ {
 			results = map[string]*router.Result{}
 			for _, alg := range algs {
 				progress("table 5: %s at width %d with %s", spec.Name, width, alg)
-				res, err := router.RouteContext(cfg.Ctx, ctx, ckt, width, router.Options{Algorithm: alg, MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, Parallel: cfg.Parallel, NetWorkers: cfg.NetWorkers})
+				opts.Algorithm = alg
+				res, err := router.RouteCtx(ctx, ckt, width, opts)
 				if err != nil {
 					if errors.Is(err, router.ErrUnroutable) {
 						break

@@ -19,7 +19,7 @@ func routedTiny(t *testing.T) (*router.Result, *fpga.Fabric, *circuits.Circuit) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, fab, err := router.RouteWithFabric(ckt, 7, router.Options{MaxPasses: 8})
+	res, fab, err := router.RouteWithFabricCtx(nil, ckt, 7, router.Options{MaxPasses: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

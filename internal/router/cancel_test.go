@@ -11,13 +11,22 @@ import (
 	"fpgarouter/internal/stats"
 )
 
+// bound returns a routing context with cc bound to it, closed when the
+// test ends.
+func bound(t *testing.T, cc context.Context) *Context {
+	ctx := NewContext(nil)
+	t.Cleanup(ctx.Close)
+	ctx.Bind(cc, nil)
+	return ctx
+}
+
 // TestRouteContextPreCanceled: an already-canceled context aborts before
 // any pass runs, with an error matching both ErrCanceled and the cause.
 func TestRouteContextPreCanceled(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 1)
 	cc, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RouteContext(cc, nil, ckt, 8, Options{MaxPasses: 8})
+	res, err := RouteCtx(bound(t, cc), ckt, 8, Options{MaxPasses: 8})
 	if res != nil {
 		t.Fatalf("canceled route returned a result: %+v", res)
 	}
@@ -38,7 +47,7 @@ func TestRouteContextBackgroundMatchesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCC, err := RouteContext(context.Background(), nil, ckt, 8, opts)
+	withCC, err := RouteCtx(bound(t, context.Background()), ckt, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +55,11 @@ func TestRouteContextBackgroundMatchesRoute(t *testing.T) {
 }
 
 // TestMinWidthContextDeadline is the cancellation-semantics regression
-// test: a short deadline must abort MinWidthContext mid-search promptly
-// (bounded wall-clock), classify as ErrCanceled plus
-// context.DeadlineExceeded, and leave the stats collector and the routing
-// context's pooled scratch in a reusable state.
+// test: a short deadline bound to the routing context must abort
+// MinWidthCtx mid-search promptly (bounded wall-clock), classify as
+// ErrCanceled plus context.DeadlineExceeded, and leave the stats
+// collector and the routing context's pooled scratch reusable once Bind's
+// restore has unbound the deadline.
 func TestMinWidthContextDeadline(t *testing.T) {
 	// busc at MaxPasses 20 takes far longer than the deadline: the search
 	// has to grind through rip-up passes at several unroutable widths.
@@ -65,11 +75,10 @@ func TestMinWidthContextDeadline(t *testing.T) {
 	cc, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	begin := time.Now()
-	_, _, complete, err := MinWidthContext(cc, ctx, ckt, 1, Options{MaxPasses: 20})
+	restore := ctx.Bind(cc, nil)
+	_, _, err := MinWidthCtx(ctx, ckt, 1, Options{MaxPasses: 20})
+	restore()
 	elapsed := time.Since(begin)
-	if complete {
-		t.Fatal("deadline-interrupted search reported complete=true")
-	}
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled+DeadlineExceeded, got %v", err)
 	}
@@ -81,7 +90,7 @@ func TestMinWidthContextDeadline(t *testing.T) {
 	}
 
 	// The same routing context (same pooled scratch) and collector must
-	// still complete a fresh run.
+	// still complete a fresh run: the restore unbound the expired deadline.
 	probesBefore := col.Snapshot().WidthProbes
 	w, res, err := MinWidthCtx(ctx, ckt, spec.PaperIKMB, Options{MaxPasses: 8})
 	if err != nil {
@@ -105,7 +114,7 @@ func TestMinWidthContextCancelMidBatch(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, _, _, err := MinWidthContext(cc, nil, ckt, 1, Options{MaxPasses: 20})
+	_, _, err := MinWidthCtx(bound(t, cc), ckt, 1, Options{MaxPasses: 20})
 	if err != nil && !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-batch cancellation produced a non-canceled error: %v", err)
 	}

@@ -243,9 +243,11 @@ func TestFaultCancelMidPassContextReuse(t *testing.T) {
 	// 20-pass budget could conclude.
 	cc, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := RouteContext(cc, ctx, ckt, 1, Options{MaxPasses: 20}); !errors.Is(err, ErrCanceled) {
+	restore := ctx.Bind(cc, nil)
+	if _, err := RouteCtx(ctx, ckt, 1, Options{MaxPasses: 20}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("grind was not canceled: %v", err)
 	}
+	restore()
 
 	got, err := RouteCtx(ctx, ckt, spec.PaperIKMB, opts)
 	if err != nil {
@@ -273,7 +275,7 @@ func TestChaosRouteContextDeadlinePartial(t *testing.T) {
 	d := time.Since(start)
 	cc, cancel := context.WithTimeout(context.Background(), d/2+5*time.Millisecond)
 	defer cancel()
-	res, err := RouteContext(cc, nil, ckt, 2, Options{MaxPasses: 20})
+	res, err := RouteCtx(bound(t, cc), ckt, 2, Options{MaxPasses: 20})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled+DeadlineExceeded, got %v", err)
 	}
@@ -286,8 +288,8 @@ func TestChaosRouteContextDeadlinePartial(t *testing.T) {
 }
 
 // TestChaosMinWidthDeadlineBestSoFar: a deadline during the shrink phase
-// surrenders the best feasible width found so far with complete=false,
-// and the Result at that width is a full (non-partial) routing.
+// surrenders the best feasible width found so far alongside the canceled
+// error, and the Result at that width is a full (non-partial) routing.
 func TestChaosMinWidthDeadlineBestSoFar(t *testing.T) {
 	spec, ok := circuits.SpecByName("busc")
 	if !ok {
@@ -303,15 +305,12 @@ func TestChaosMinWidthDeadlineBestSoFar(t *testing.T) {
 	// final unroutable grind (20 passes) takes an order of magnitude longer.
 	cc, cancel := context.WithTimeout(context.Background(), 3*d+100*time.Millisecond)
 	defer cancel()
-	w, res, complete, err := MinWidthContext(cc, nil, ckt, spec.PaperIKMB+1, Options{MaxPasses: 20})
+	w, res, err := MinWidthCtx(bound(t, cc), ckt, spec.PaperIKMB+1, Options{MaxPasses: 20})
 	if err == nil {
 		t.Fatalf("search completed within %v; deadline calibration is off", 3*d+100*time.Millisecond)
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if complete {
-		t.Fatal("interrupted search reported complete=true")
 	}
 	if res == nil || w < 1 {
 		t.Fatalf("no best-so-far width surrendered (w=%d res=%v err=%v)", w, res, err)

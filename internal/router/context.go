@@ -19,8 +19,8 @@ import (
 // Context carries the reusable scratch state and observability hooks of a
 // routing run. The zero value is not usable; create one with NewContext
 // and Close it when done so the scratch returns to the process-wide pool.
-// A nil *Context is accepted by every *Ctx entry point (an ephemeral
-// context is created for the call).
+// A nil *Context is accepted by every entry point (an ephemeral context
+// is created for the call).
 type Context struct {
 	// Stats receives work counters when non-nil; leaving it nil makes every
 	// recording site a no-op (see package stats).
@@ -28,20 +28,20 @@ type Context struct {
 
 	scratch *graph.DijkstraScratch
 	// cc, when non-nil, is the cancellation signal checked cooperatively at
-	// pass and per-net boundaries. Bound per call by the *Context entry
-	// points (RouteContext, MinWidthContext); nil means never canceled.
+	// pass and per-net boundaries, and before each width probe of
+	// MinWidthCtx. Bind sets it per run; nil means never canceled.
 	cc context.Context
 	// durable, when non-nil, enables pathfinder checkpoint/resume for
 	// parallel-mode routes run under this context. It is plumbing, not wire
-	// format: the service binds it per job (see bindDurable), keeping
-	// Options the pure request shape.
+	// format: the service binds it per job (see Bind), keeping Options the
+	// pure request shape.
 	durable *DurableConfig
 }
 
 // DurableConfig carries the checkpoint/resume wiring of one durable job
-// into the pathfinder. Only parallel-mode Route calls honor it; the
-// service binds none for the sequential router or MinWidth (their state is
-// cheap to recompute, so recovery just restarts them).
+// into the pathfinder. Only parallel-mode routes honor it; the service
+// binds none for the sequential router or MinWidthCtx (their state is cheap
+// to recompute, so recovery just restarts them).
 type DurableConfig struct {
 	// CheckpointEvery / CheckpointPeriod set the emission cadence (see
 	// pathfinder.Config). CheckpointFn receives each snapshot.
@@ -73,23 +73,14 @@ func (ctx *Context) checkCanceled() error {
 	return nil
 }
 
-// bind attaches cc as the context's cancellation signal, returning a
-// restore function for the previous binding. Workers rebind a long-lived
-// Context per job, keeping its pooled scratch across jobs.
-func (ctx *Context) bind(cc context.Context) func() {
-	prev := ctx.cc
-	ctx.cc = cc
-	return func() { ctx.cc = prev }
-}
-
-// BindDurable attaches checkpoint/resume wiring for the next route run
-// under this context, returning a restore function for the previous
-// binding. Like bind, it lets a worker's long-lived Context carry per-job
-// durability state without widening every call signature.
-func (ctx *Context) BindDurable(dc *DurableConfig) func() {
-	prev := ctx.durable
-	ctx.durable = dc
-	return func() { ctx.durable = prev }
+// Bind attaches cc as the context's cancellation signal and dc (nil for
+// none) as its checkpoint/resume wiring, returning a function that restores
+// the previous binding. A worker binds its long-lived Context per job
+// (defer ctx.Bind(cc, dc)()), keeping the pooled scratch across jobs.
+func (ctx *Context) Bind(cc context.Context, dc *DurableConfig) (restore func()) {
+	prevCC, prevDurable := ctx.cc, ctx.durable
+	ctx.cc, ctx.durable = cc, dc
+	return func() { ctx.cc, ctx.durable = prevCC, prevDurable }
 }
 
 // NewContext returns a routing context backed by a pooled Dijkstra scratch,

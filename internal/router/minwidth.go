@@ -2,7 +2,6 @@
 package router
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -10,40 +9,20 @@ import (
 	"fpgarouter/internal/stats"
 )
 
-// MinWidth finds the smallest channel width at which the circuit routes
-// completely: it grows the width from start until the first success, then
-// walks downward while success persists. It returns the minimum width and
-// the routing result at that width.
-func MinWidth(ckt *circuits.Circuit, start int, opts Options) (int, *Result, error) {
-	return MinWidthCtx(nil, ckt, start, opts)
-}
-
-// MinWidthContext is MinWidthCtx with cooperative cancellation: cc is
-// checked before each width is routed and, inside each route, at its
-// pass/net boundaries. The returned error matches both ErrCanceled and
-// cc's cause under errors.Is.
+// MinWidthCtx finds the smallest channel width at which the circuit routes
+// completely: it grows the width from start (start < 1 selects 4) until
+// the first success, then walks downward while success persists, routing
+// one width at a time under ctx (nil for an ephemeral context) and
+// counting each route as a width probe in its collector. It returns the
+// minimum width and the routing result at that width.
 //
-// The search degrades gracefully: complete reports whether it ran to the
-// true minimum. When interrupted, the returned width and Result are the
-// best feasible width found so far (complete=false), or 0/nil if no width
-// had routed yet. ctx may be nil; as in RouteContext it is bound to cc only
-// for this call.
-func MinWidthContext(cc context.Context, ctx *Context, ckt *circuits.Circuit, start int, opts Options) (w int, res *Result, complete bool, err error) {
-	ctx, done := ensureContext(ctx)
-	defer done()
-	restore := ctx.bind(cc)
-	defer restore()
-	w, res, err = MinWidthCtx(ctx, ckt, start, opts)
-	return w, res, err == nil, err
-}
-
-// MinWidthCtx is MinWidth with an explicit routing context (nil for an
-// ephemeral one). It routes one width at a time, counting each route as a
-// width probe in the context's collector; start < 1 selects 4.
-//
-// A run canceled during the shrink phase returns the best feasible width
-// found so far alongside the error (matching ErrCanceled under errors.Is);
-// one canceled before any width routed returns (0, nil, err).
+// A cancellation bound to ctx (Context.Bind) is checked before each width
+// is routed and, inside each route, at its pass and per-net boundaries;
+// the returned error then matches both ErrCanceled and the cause under
+// errors.Is. The search degrades gracefully: it ran to the true minimum
+// exactly when err is nil. When interrupted, the returned width and Result
+// are the best feasible width found so far, or 0 and nil if no width had
+// routed yet.
 func MinWidthCtx(ctx *Context, ckt *circuits.Circuit, start int, opts Options) (int, *Result, error) {
 	if err := opts.CheckAlgorithms(); err != nil {
 		return 0, nil, err

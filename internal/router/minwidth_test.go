@@ -80,7 +80,7 @@ func TestMinWidthIsMinimal(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ckt := synth(t, tinySpec(tc.series), tc.seed)
-			w, res, err := MinWidth(ckt, tc.start, tc.opts)
+			w, res, err := MinWidthCtx(nil, ckt, tc.start, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestMinWidthHardStartParity(t *testing.T) {
 	}
 	ckt := synth(t, tinySpec(circuits.Series4000), 3)
 	opts := Options{MaxPasses: 1, NoMoveToFront: true}
-	w, res, err := MinWidth(ckt, 1, opts)
+	w, res, err := MinWidthCtx(nil, ckt, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMinWidthHardStartParity(t *testing.T) {
 	bad := *ckt
 	bad.Nets = slices.Clone(ckt.Nets)
 	bad.Nets[0].Pins = append(slices.Clone(bad.Nets[0].Pins), bad.Nets[0].Pins[0])
-	_, res, err = MinWidth(&bad, 1, Options{MaxPasses: 1})
+	_, res, err = MinWidthCtx(nil, &bad, 1, Options{MaxPasses: 1})
 	want := fmt.Sprintf("router: %s unroutable up to width %d", ckt.Name, 4*1+64+1)
 	if err == nil || err.Error() != want || res != nil {
 		t.Fatalf("width-limit error %v (result %v), want %q", err, res, want)

@@ -44,14 +44,14 @@ func TestWithDefaultsSentinels(t *testing.T) {
 }
 
 // TestExplicitZeroAlphaReachesFabric proves the sentinel survives the whole
-// entry path: RouteWithFabric with CongestionAlpha: Zero must build a fabric
-// with congestion weighting disabled, where the plain zero value enables the
-// default weighting.
+// entry path: RouteWithFabricCtx with CongestionAlpha: Zero must build a
+// fabric with congestion weighting disabled, where the plain zero value
+// enables the default weighting.
 func TestExplicitZeroAlphaReachesFabric(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 1)
 	check := func(opts Options, want float64) *fpga.Fabric {
 		t.Helper()
-		_, fab, err := RouteWithFabric(ckt, 8, opts)
+		_, fab, err := RouteWithFabricCtx(nil, ckt, 8, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestExplicitZeroAlphaReachesFabric(t *testing.T) {
 func TestMinWidthPreservesExplicitZeros(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 2)
 	opts := Options{MaxPasses: 6, CongestionAlpha: Zero}
-	w, res, err := MinWidth(ckt, 1, opts)
+	w, res, err := MinWidthCtx(nil, ckt, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // through the negotiated-congestion engine of internal/pathfinder instead
 // of the sequential rip-up/re-route loop, then commits the converged
 // (mutually resource-disjoint) trees onto the fabric to produce the same
-// Result shape — wire format, partial-result semantics, MinWidth
+// Result shape — wire format, partial-result semantics, MinWidthCtx
 // compatibility — as the sequential router.
 package router
 
@@ -21,7 +21,7 @@ import (
 // construction — zero overflow means no resource is shared). A run that
 // exhausts the iteration budget returns ErrUnroutable with a partial
 // Result committing only the uncontested nets, exactly the contract
-// MinWidth's probes rely on; cancellation and injected faults likewise
+// MinWidthCtx's probes rely on; cancellation and injected faults likewise
 // surface the partial state alongside their error. Its options have
 // passed CheckAlgorithms: the algorithm is ikmb or kmb, and no net is
 // critical.
@@ -90,7 +90,7 @@ func routeParallel(ctx *Context, fab *fpga.Fabric, ckt *circuits.Circuit, opts O
 	if perr != nil {
 		// A net whose pins cannot connect at this width even on an empty
 		// fabric surfaces as ErrNoRoute; fold it into ErrUnroutable so
-		// MinWidth's bracket logic treats both modes alike.
+		// MinWidthCtx's bracket logic treats both modes alike.
 		if errors.Is(perr, steiner.ErrNoRoute) {
 			return partial, fmt.Errorf("%w: %v", ErrUnroutable, perr)
 		}

@@ -97,7 +97,7 @@ func TestSSSPCountersWorkerInvariant(t *testing.T) {
 				col := stats.New()
 				ctx := NewContext(col)
 				defer ctx.Close()
-				res, _, err := RouteWithFabricContext(nil, ctx, ckt, spec.PaperIKMB, opts)
+				res, _, err := RouteWithFabricCtx(ctx, ckt, spec.PaperIKMB, opts)
 				if err != nil {
 					t.Fatalf("%+v: %v", opts, err)
 				}

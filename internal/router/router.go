@@ -11,7 +11,6 @@
 package router
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -69,7 +68,7 @@ type Options struct {
 	// default (1.0); use Zero (or any negative value) to explicitly
 	// disable congestion weighting.
 	CongestionAlpha float64 `json:"congestion_alpha,omitempty"`
-	// WidthProbes has no effect: MinWidth routes one width at a time (the
+	// WidthProbes has no effect: MinWidthCtx routes one width at a time (the
 	// concurrent width probes it selected were removed). The field remains
 	// so journaled requests and clients that send width_probes still decode
 	// under strict parsing.
@@ -247,43 +246,21 @@ func Route(ckt *circuits.Circuit, w int, opts Options) (*Result, error) {
 // RouteCtx is Route with an explicit routing context (nil for an ephemeral
 // one): the context's pooled scratch is reused by every SSSP call of the
 // run and its collector, if any, receives the work counters.
+//
+// A cancellation bound to ctx (Context.Bind) is checked at pass and per-net
+// boundaries; once it fires the run aborts with an error matching both
+// ErrCanceled and the cause (context.Canceled or context.DeadlineExceeded)
+// under errors.Is. An aborted run degrades gracefully: alongside the error
+// it returns the best partial Result so far (nil only if nothing routed
+// yet; see Result.Partial).
 func RouteCtx(ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, error) {
 	res, _, err := RouteWithFabricCtx(ctx, ckt, w, opts)
 	return res, err
 }
 
-// RouteContext is RouteCtx with cooperative cancellation: the run checks cc
-// at pass and per-net boundaries and aborts with an error matching both
-// ErrCanceled and cc's cause (context.Canceled or context.DeadlineExceeded)
-// under errors.Is. An aborted run degrades gracefully: alongside the error
-// it returns the best partial Result so far (nil only if nothing routed
-// yet; see Result.Partial). ctx may be nil for an ephemeral routing
-// context; it is bound to cc only for the duration of the call, so a
-// worker can reuse one long-lived routing context across jobs with per-job
-// cancellation.
-func RouteContext(cc context.Context, ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, error) {
-	res, _, err := RouteWithFabricContext(cc, ctx, ckt, w, opts)
-	return res, err
-}
-
-// RouteWithFabric is Route but also returns the fabric in its final state
-// (with the successful pass's nets committed), for rendering and
+// RouteWithFabricCtx is RouteCtx but also returns the fabric in its final
+// state (with the successful pass's nets committed), for rendering and
 // utilization analysis.
-func RouteWithFabric(ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
-	return RouteWithFabricCtx(nil, ckt, w, opts)
-}
-
-// RouteWithFabricContext is RouteWithFabricCtx with cooperative
-// cancellation (see RouteContext).
-func RouteWithFabricContext(cc context.Context, ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
-	ctx, done := ensureContext(ctx)
-	defer done()
-	restore := ctx.bind(cc)
-	defer restore()
-	return RouteWithFabricCtx(ctx, ckt, w, opts)
-}
-
-// RouteWithFabricCtx is RouteWithFabric with an explicit routing context.
 func RouteWithFabricCtx(ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
 	if err := opts.CheckAlgorithms(); err != nil {
 		return nil, nil, err
@@ -557,7 +534,7 @@ func plain(f func(*graph.SPTCache, []graph.NodeID) (graph.Tree, error)) construc
 // CheckAlgorithms reports an error unless o's Algorithm and
 // CriticalAlgorithm (empty: the default) both name a known algorithm, and,
 // in parallel mode, unless Algorithm is ikmb or kmb and no net is
-// critical. Route and MinWidth run it before any pass or width, and the
+// critical. Route and MinWidthCtx run it before any pass or width, and the
 // service before it accepts a job, so a bad request fails at once instead
 // of failing every net of every pass, or after the fabric is built.
 func (o Options) CheckAlgorithms() error {

@@ -100,7 +100,7 @@ func TestUnroutableAtWidthOne(t *testing.T) {
 
 func TestMinWidthFindsBoundary(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 4)
-	w, res, err := MinWidth(ckt, 4, Options{MaxPasses: 5})
+	w, res, err := MinWidthCtx(nil, ckt, 4, Options{MaxPasses: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMinWidthFindsBoundary(t *testing.T) {
 	// One below the minimum must fail (that's what minimality means).
 	if w > 1 {
 		if _, err := Route(ckt, w-1, Options{MaxPasses: 5}); err == nil {
-			t.Fatalf("width %d routed but MinWidth said %d", w-1, w)
+			t.Fatalf("width %d routed but MinWidthCtx said %d", w-1, w)
 		}
 	}
 }
@@ -138,7 +138,7 @@ func TestInitialOrderPrefersBigNets(t *testing.T) {
 
 // An unknown Algorithm or CriticalAlgorithm, and a parallel-mode request
 // the pathfinder cannot run (an algorithm other than ikmb or kmb, or
-// critical nets), fail Route and MinWidth up front, in both engines: no
+// critical nets), fail Route and MinWidthCtx up front, in both engines: no
 // pass runs and no width is probed, and the error says what is wrong
 // rather than wrapping ErrUnroutable.
 func TestUnknownAlgorithmRejected(t *testing.T) {
@@ -206,7 +206,7 @@ func TestRouterSkipsCommitOnFailedNetAndRetries(t *testing.T) {
 		Name: "dense", Series: circuits.Series4000, Cols: 4, Rows: 4,
 		Nets2_3: 16, Nets4_10: 6,
 	}, 8)
-	w, res, err := MinWidth(ckt, 3, Options{MaxPasses: 10})
+	w, res, err := MinWidthCtx(nil, ckt, 3, Options{MaxPasses: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSegLensOptionAppliesToFabric(t *testing.T) {
 	for i := range lens {
 		lens[i] = 1 + i%2
 	}
-	res, fab, err := RouteWithFabric(ckt, 8, Options{MaxPasses: 8, SegLens: lens})
+	res, fab, err := RouteWithFabricCtx(nil, ckt, 8, Options{MaxPasses: 8, SegLens: lens})
 	if err != nil {
 		t.Skipf("segmented width 8 unroutable on this instance: %v", err)
 	}

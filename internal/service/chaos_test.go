@@ -209,7 +209,7 @@ func TestChaosMinWidthPanicIsolatedInService(t *testing.T) {
 	}
 
 	faultpoint.Reset()
-	wantW, wantRes, err := router.MinWidth(ckt, 1, opts)
+	wantW, wantRes, err := router.MinWidthCtx(nil, ckt, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

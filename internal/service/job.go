@@ -259,7 +259,7 @@ func resolveJob(req *SubmitRequest, memo *circuitMemo) (*Job, error) {
 	case ModeMinWidth:
 		job.width = req.StartWidth
 		if job.width <= 0 {
-			job.width = paperBest // 0 falls through to MinWidth's default start
+			job.width = paperBest // 0 falls through to MinWidthCtx's default start
 		}
 	}
 	return job, nil

@@ -206,7 +206,7 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 	wantB, _ := json.Marshal(want)
 	var cks []*pathfinder.Checkpoint
 	rc := router.NewContext(nil)
-	restore := rc.BindDurable(&router.DurableConfig{
+	restore := rc.Bind(nil, &router.DurableConfig{
 		CheckpointEvery: 1,
 		CheckpointFn:    func(ck *pathfinder.Checkpoint) { cks = append(cks, ck) },
 	})

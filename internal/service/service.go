@@ -293,11 +293,6 @@ func (s *Service) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every job's status in submission order.
-func (s *Service) Jobs() []Status {
-	return s.JobsFiltered("", 0)
-}
-
 // JobsFiltered returns job statuses in submission order, optionally
 // restricted to one lifecycle state, and optionally truncated to the
 // newest limit entries (limit 0 = unbounded).
@@ -535,18 +530,15 @@ func (s *Service) attempt(rc *router.Context, cc context.Context, job *Job) (wid
 		}
 	}()
 	faultpoint.Check(faultpoint.ServiceWorker)
-	if dc := s.durableFor(job); dc != nil {
-		restore := rc.BindDurable(dc)
-		defer restore()
-	}
+	defer rc.Bind(cc, s.durableFor(job))()
 	switch job.mode {
 	case ModeRoute:
-		res, err = router.RouteContext(cc, rc, job.ckt, job.width, job.opts)
+		res, err = router.RouteCtx(rc, job.ckt, job.width, job.opts)
 		if res != nil {
 			width = res.Width
 		}
 	case ModeMinWidth:
-		width, res, _, err = router.MinWidthContext(cc, rc, job.ckt, job.width, job.opts)
+		width, res, err = router.MinWidthCtx(rc, job.ckt, job.width, job.opts)
 	}
 	return width, res, err, false
 }

@@ -95,7 +95,7 @@ var minwidthOpts = router.Options{MaxPasses: 4}
 
 // TestEndToEndMinWidthParity is the acceptance test: submit a minwidth job
 // for a paper circuit over HTTP, poll to completion, and require the
-// returned width and result to be bit-identical to calling router.MinWidth
+// returned width and result to be bit-identical to calling router.MinWidthCtx
 // in-process. The job also carries the retired width_probes field, which
 // the direct reference leaves unset: it must change nothing.
 func TestEndToEndMinWidthParity(t *testing.T) {
@@ -131,7 +131,7 @@ func TestEndToEndMinWidthParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantW, wantRes, err := router.MinWidth(ckt, spec.PaperIKMB, minwidthOpts)
+	wantW, wantRes, err := router.MinWidthCtx(nil, ckt, spec.PaperIKMB, minwidthOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestEndToEndMinWidthParity(t *testing.T) {
 	got, _ := json.Marshal(rr.Result)
 	want, _ := json.Marshal(wantRes)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("service result differs from direct MinWidth:\n%.200s\nvs\n%.200s", got, want)
+		t.Fatalf("service result differs from direct MinWidthCtx:\n%.200s\nvs\n%.200s", got, want)
 	}
 }
 
