@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -59,12 +60,15 @@ func (c *Circuit) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes and validates a circuit in the netlist format: a
-// known series, a positive array size, every pin well-formed and inside
-// the array, and at least two pins per net.
+// UnmarshalJSON decodes and validates a circuit in the netlist format: no
+// unknown fields, a known series, a positive array size, every pin
+// well-formed, inside the array and on a pin the series has, at least two
+// pins per net, and no net id or pin used twice.
 func (c *Circuit) UnmarshalJSON(data []byte) error {
 	var w circuitWire
-	if err := json.Unmarshal(data, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return fmt.Errorf("circuits: %w", err)
 	}
 	var series Series
@@ -80,13 +84,24 @@ func (c *Circuit) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("circuits: bad array size %dx%d", w.Cols, w.Rows)
 	}
 	out := Circuit{Spec: Spec{Name: w.Name, Series: series, Cols: w.Cols, Rows: w.Rows}}
+	arch := out.ArchAt(1) // pins per side do not depend on the width
+	ids := make(map[int]bool, len(w.Nets))
+	owner := make(map[fpga.Pin]int) // pin -> id of the net that lists it
 	for _, nw := range w.Nets {
+		if ids[nw.ID] {
+			return fmt.Errorf("circuits: duplicate net id %d", nw.ID)
+		}
+		ids[nw.ID] = true
 		net := Net{ID: nw.ID, Pins: make([]fpga.Pin, 0, len(nw.Pins))}
 		for _, tok := range nw.Pins {
-			p, err := parsePin(tok, w.Cols, w.Rows)
+			p, err := parsePin(tok, arch)
 			if err != nil {
 				return fmt.Errorf("circuits: net %d: %w", nw.ID, err)
 			}
+			if id, ok := owner[p]; ok {
+				return fmt.Errorf("circuits: net %d: pin %q already used by net %d", nw.ID, tok, id)
+			}
+			owner[p] = nw.ID
 			net.Pins = append(net.Pins, p)
 		}
 		if len(net.Pins) < 2 {
@@ -99,8 +114,8 @@ func (c *Circuit) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// parsePin parses an "x,y,SIDE,index" tuple.
-func parsePin(tok string, cols, rows int) (fpga.Pin, error) {
+// parsePin parses an "x,y,SIDE,index" tuple naming a pin of arch.
+func parsePin(tok string, arch fpga.Arch) (fpga.Pin, error) {
 	parts := strings.Split(tok, ",")
 	if len(parts) != 4 {
 		return fpga.Pin{}, fmt.Errorf("bad pin %q (want x,y,SIDE,index)", tok)
@@ -124,8 +139,11 @@ func parsePin(tok string, cols, rows int) (fpga.Pin, error) {
 	default:
 		return fpga.Pin{}, fmt.Errorf("bad pin side %q in %q", parts[2], tok)
 	}
-	if x < 0 || x >= cols || y < 0 || y >= rows || idx < 0 {
-		return fpga.Pin{}, fmt.Errorf("pin %q outside the %dx%d array", tok, cols, rows)
+	if x < 0 || x >= arch.Cols || y < 0 || y >= arch.Rows || idx < 0 {
+		return fpga.Pin{}, fmt.Errorf("pin %q outside the %dx%d array", tok, arch.Cols, arch.Rows)
+	}
+	if idx >= arch.PinsPerSide {
+		return fpga.Pin{}, fmt.Errorf("pin %q index out of range: a block has %d pins per side", tok, arch.PinsPerSide)
 	}
 	return fpga.Pin{X: x, Y: y, Side: side, Index: idx}, nil
 }

@@ -15,7 +15,7 @@ import (
 // service clients deliberately, don't just re-record.
 const goldenCircuitJSON = `{"name":"wiretest","series":"3000","cols":3,"rows":2,` +
 	`"nets":[{"id":0,"pins":["0,0,N,0","2,1,S,1","1,0,E,0"]},` +
-	`{"id":1,"pins":["0,1,W,2","2,0,N,1"]}]}`
+	`{"id":1,"pins":["0,1,W,1","2,0,N,1"]}]}`
 
 func goldenCircuit() *Circuit {
 	return &Circuit{
@@ -27,7 +27,7 @@ func goldenCircuit() *Circuit {
 				{X: 1, Y: 0, Side: fpga.East, Index: 0},
 			}},
 			{ID: 1, Pins: []fpga.Pin{
-				{X: 0, Y: 1, Side: fpga.West, Index: 2},
+				{X: 0, Y: 1, Side: fpga.West, Index: 1},
 				{X: 2, Y: 0, Side: fpga.North, Index: 1},
 			}},
 		},
@@ -173,26 +173,38 @@ func TestCircuitJSONFixture(t *testing.T) {
 	}
 }
 
+// TestCircuitJSONRejects: every defect inside a netlist fails the decode
+// with an error naming it. A pin index the series lacks, a shared pin and
+// a repeated net id would otherwise reach the router, which panics on the
+// first and silently shorts nets on the other two.
 func TestCircuitJSONRejects(t *testing.T) {
-	cases := map[string]string{
-		"bad-series":       `{"name":"x","series":"5000","cols":3,"rows":3,"nets":[]}`,
-		"bad-size":         `{"name":"x","series":"4000","cols":0,"rows":3,"nets":[]}`,
-		"pin-out-of-array": `{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["9,9,N,0","0,0,N,0"]}]}`,
-		"bad-side":         `{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,Q,0","1,1,N,0"]}]}`,
-		"bad-pin":          `{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N","1,1,S,0"]}]}`,
-		"negative-index":   `{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,-1","1,1,S,0"]}]}`,
-		"bad-coordinate":   `{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["a,0,N,0","1,1,S,0"]}]}`,
-		"short-net":        `{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,0"]}]}`,
-		"bad-id":           `{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":"x","pins":["0,0,N,0","1,1,S,0"]}]}`,
-		"not-a-struct":     `[1,2,3]`,
+	cases := map[string]struct{ in, want string }{
+		"bad-series":        {`{"name":"x","series":"5000","cols":3,"rows":3,"nets":[]}`, `unknown series "5000"`},
+		"bad-size":          {`{"name":"x","series":"4000","cols":0,"rows":3,"nets":[]}`, "bad array size 0x3"},
+		"pin-out-of-array":  {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["9,9,N,0","0,0,N,0"]}]}`, "outside the 3x3 array"},
+		"bad-side":          {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,Q,0","1,1,N,0"]}]}`, `bad pin side "Q"`},
+		"bad-pin":           {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N","1,1,S,0"]}]}`, `bad pin "0,0,N"`},
+		"negative-index":    {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,-1","1,1,S,0"]}]}`, "outside the 3x3 array"},
+		"bad-coordinate":    {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["a,0,N,0","1,1,S,0"]}]}`, `bad pin "a,0,N,0"`},
+		"short-net":         {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,0"]}]}`, "fewer than 2 pins"},
+		"bad-id":            {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":"x","pins":["0,0,N,0","1,1,S,0"]}]}`, "cannot unmarshal string"},
+		"not-a-struct":      {`[1,2,3]`, "cannot unmarshal array"},
+		"pin-index-3000":    {`{"name":"x","series":"3000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,2","1,1,S,0"]}]}`, `pin "0,0,N,2" index out of range: a block has 2 pins per side`},
+		"pin-index-4000":    {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,0","1,1,S,3"]}]}`, `pin "1,1,S,3" index out of range: a block has 3 pins per side`},
+		"duplicate-net-id":  {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,0","1,1,S,0"]},{"id":0,"pins":["2,2,N,0","1,1,S,1"]}]}`, "duplicate net id 0"},
+		"shared-pin":        {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"pins":["0,0,N,0","1,1,S,0"]},{"id":1,"pins":["2,2,N,0","0,0,N,0"]}]}`, `net 1: pin "0,0,N,0" already used by net 0`},
+		"unknown-field":     {`{"name":"x","series":"4000","cols":3,"rows":3,"typo":1,"nets":[{"id":0,"pins":["0,0,N,0","1,1,S,0"]}]}`, `unknown field "typo"`},
+		"unknown-net-field": {`{"name":"x","series":"4000","cols":3,"rows":3,"nets":[{"id":0,"typo":1,"pins":["0,0,N,0","1,1,S,0"]}]}`, `unknown field "typo"`},
 	}
-	for name, in := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			var c Circuit
-			if err := json.Unmarshal([]byte(in), &c); err == nil {
+			err := json.Unmarshal([]byte(tc.in), &c)
+			if err == nil {
 				t.Fatal("decode succeeded, want error")
-			} else if !strings.HasPrefix(err.Error(), "circuits: ") {
-				t.Fatalf("error %q lacks package prefix", err)
+			}
+			if !strings.HasPrefix(err.Error(), "circuits: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want the circuits: prefix and %q", err, tc.want)
 			}
 		})
 	}

@@ -125,24 +125,6 @@ func (a Arch) Validate() error {
 	return nil
 }
 
-// WithWidth returns a copy of the architecture at channel width w,
-// recomputing width-dependent flexibilities (Fc = ⌈0.6W⌉ for Fs = 6
-// architectures, Fc = W for Fs = 3 ones), mirroring how the paper's
-// experiments sweep W.
-func (a Arch) WithWidth(w int) Arch {
-	b := a
-	b.W = w
-	if a.Fs == 6 {
-		b.Fc = (6*w + 9) / 10
-		if b.Fc < 1 {
-			b.Fc = 1
-		}
-	} else {
-		b.Fc = w
-	}
-	return b
-}
-
 // Pin identifies a logic block pin: block coordinates, side, and the pin's
 // index on that side.
 type Pin struct {

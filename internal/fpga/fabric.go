@@ -288,11 +288,6 @@ func (f *Fabric) sbNode(i, j, t int) graph.NodeID {
 	return graph.NodeID((j*(f.Cols+1)+i)*f.W + t)
 }
 
-// sbTrack shifts a switch-block base index (node of track 0) to track t.
-func (f *Fabric) sbTrack(base graph.NodeID, t int) graph.NodeID {
-	return base + graph.NodeID(t)
-}
-
 // hSpan returns the span index of the horizontal channel span between
 // switch blocks (i, j) and (i+1, j).
 func (f *Fabric) hSpan(i, j int) int { return j*f.Cols + i }

@@ -46,20 +46,12 @@ func TestXilinxPresets(t *testing.T) {
 	if a.Fs != 6 || a.Fc != 6 {
 		t.Fatalf("3000 preset: %+v", a)
 	}
+	if c := Xilinx3000(5, 5, 5); c.W != 5 || c.Fc != 3 {
+		t.Fatalf("3000 preset at W=5: %+v", c)
+	}
 	b := Xilinx4000(10, 10, 7)
 	if b.Fs != 3 || b.Fc != 7 {
 		t.Fatalf("4000 preset: %+v", b)
-	}
-}
-
-func TestWithWidth(t *testing.T) {
-	a := Xilinx3000(5, 5, 10).WithWidth(5)
-	if a.W != 5 || a.Fc != 3 {
-		t.Fatalf("WithWidth 3000: %+v", a)
-	}
-	b := Xilinx4000(5, 5, 10).WithWidth(6)
-	if b.W != 6 || b.Fc != 6 {
-		t.Fatalf("WithWidth 4000: %+v", b)
 	}
 }
 

@@ -15,26 +15,22 @@ package graph
 // required by the searches, which settle each node once. The L1 promise
 // gives both.
 //
-// The FPGA fabrics satisfy the promise by construction (see
-// fpga.Fabric.Bounds and fpga3d.Fabric3D.Bounds): wire segments cost their
-// span count, connection-block taps cost exactly the pin-midpoint-to-
-// switch-block distance, jogs join co-located nodes, and congestion
-// multiplies base weights by factors ≥ 1 — so the bound stays admissible
-// and consistent across every mutation the routers perform, including
-// Reset and non-negative overlay prices. A CoordBounds is immutable after
+// The FPGA fabric satisfies the promise by construction (see
+// fpga.Fabric.Bounds): wire segments cost their span count,
+// connection-block taps cost exactly the pin-midpoint-to-switch-block
+// distance, jogs join co-located nodes, and congestion multiplies base
+// weights by factors ≥ 1 — so the bound stays admissible and consistent
+// across every mutation the routers perform, including Reset and
+// non-negative overlay prices. A CoordBounds is immutable after
 // construction, so concurrent searches share one without synchronization.
 type CoordBounds struct {
-	// X, Y are per-node coordinates. Z may be nil for planar graphs.
-	X, Y, Z []float64
+	// X, Y are per-node coordinates.
+	X, Y []float64
 }
 
 // LowerBound returns the Manhattan distance between u and v.
 func (b *CoordBounds) LowerBound(u, v NodeID) float64 {
-	d := abs(b.X[u]-b.X[v]) + abs(b.Y[u]-b.Y[v])
-	if b.Z != nil {
-		d += abs(b.Z[u] - b.Z[v])
-	}
-	return d
+	return abs(b.X[u]-b.X[v]) + abs(b.Y[u]-b.Y[v])
 }
 
 // SetBound is the lower bound ToSet builds for a goal set: the L1
@@ -43,8 +39,8 @@ func (b *CoordBounds) LowerBound(u, v NodeID) float64 {
 // allocating. The zero SetBound bounds nothing, and a search given one
 // runs unguided.
 type SetBound struct {
-	b                                  *CoordBounds
-	minX, maxX, minY, maxY, minZ, maxZ float64
+	b                      *CoordBounds
+	minX, maxX, minY, maxY float64
 }
 
 // ToSet returns the L1 distance to the goals' coordinate bounding box — an
@@ -59,15 +55,9 @@ func (b *CoordBounds) ToSet(goals []NodeID) SetBound {
 	h := SetBound{b: b}
 	h.minX, h.maxX = b.X[goals[0]], b.X[goals[0]]
 	h.minY, h.maxY = b.Y[goals[0]], b.Y[goals[0]]
-	if b.Z != nil {
-		h.minZ, h.maxZ = b.Z[goals[0]], b.Z[goals[0]]
-	}
 	for _, g := range goals[1:] {
 		h.minX, h.maxX = minmax(h.minX, h.maxX, b.X[g])
 		h.minY, h.maxY = minmax(h.minY, h.maxY, b.Y[g])
-		if b.Z != nil {
-			h.minZ, h.maxZ = minmax(h.minZ, h.maxZ, b.Z[g])
-		}
 	}
 	return h
 }
@@ -75,11 +65,7 @@ func (b *CoordBounds) ToSet(goals []NodeID) SetBound {
 // At returns the bound at v.
 func (h *SetBound) At(v NodeID) float64 {
 	b := h.b
-	d := gap(b.X[v], h.minX, h.maxX) + gap(b.Y[v], h.minY, h.maxY)
-	if b.Z != nil {
-		d += gap(b.Z[v], h.minZ, h.maxZ)
-	}
-	return d
+	return gap(b.X[v], h.minX, h.maxX) + gap(b.Y[v], h.minY, h.maxY)
 }
 
 func abs(x float64) float64 {

@@ -99,7 +99,6 @@ type Options struct {
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	opts Options
 
 	readOnly atomic.Bool
@@ -145,7 +144,7 @@ func Open(path string, opts Options) (*Journal, *Replay, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{f: f, path: path, opts: opts}, rep, nil
+	return &Journal{f: f, opts: opts}, rep, nil
 }
 
 // scan reads every intact frame of f from the start, returning the replay
@@ -256,9 +255,6 @@ func (j *Journal) DegradedCause() error {
 // Appended returns how many records this process appended successfully
 // (a batch counts each of its records).
 func (j *Journal) Appended() int64 { return j.appended.Load() }
-
-// Path returns the log file's path.
-func (j *Journal) Path() string { return j.path }
 
 // Close closes the log file. Appends after Close fail.
 func (j *Journal) Close() error {

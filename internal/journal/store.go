@@ -48,9 +48,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps a key to its blob file, rejecting anything that could escape
 // the store directory.
 func (s *Store) path(key string) (string, error) {

@@ -47,6 +47,12 @@ func TestSubmitStrictDecodingGoldenBodies(t *testing.T) {
 			body: `{"mode":"minwidth","circuit":"busc"} {"extra":true}`,
 			want: "{\n  \"error\": \"trailing data after JSON body\"\n}\n",
 		},
+		{
+			name: "pin index out of range",
+			body: `{"mode":"route","width":4,"netlist":{"name":"bad","series":"4000","cols":4,"rows":4,` +
+				`"nets":[{"id":0,"pins":["0,0,N,99","1,1,S,0"]}]}}`,
+			want: "{\n  \"error\": \"circuits: net 0: pin \\\"0,0,N,99\\\" index out of range: a block has 3 pins per side\"\n}\n",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 
 	"fpgarouter/internal/circuits"
 	"fpgarouter/internal/faultpoint"
+	"fpgarouter/internal/fpga"
 	"fpgarouter/internal/journal"
 	"fpgarouter/internal/pathfinder"
 	"fpgarouter/internal/router"
@@ -296,18 +297,28 @@ func TestRecoveryRequeuesInterruptedJob(t *testing.T) {
 }
 
 // TestRecoveryUnresolvableRequestFailsVisibly: a journaled request that no
-// longer resolves (an unknown circuit, or an unknown algorithm that an
-// older build journaled) becomes a failed job with its history visible,
-// never a silent drop.
+// longer resolves (an unknown circuit, or an unknown algorithm or a
+// netlist with a shared pin that an older build journaled) becomes a
+// failed job with its history visible, never a silent drop.
 func TestRecoveryUnresolvableRequestFailsVisibly(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := journal.Open(dir+"/journal.wal", journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two nets on one pin: an inline netlist the decoder rejects.
+	pin := fpga.Pin{X: 0, Y: 0, Side: fpga.North}
+	shorted := &circuits.Circuit{
+		Spec: circuits.Spec{Name: "shorted", Series: circuits.Series4000, Cols: 2, Rows: 2},
+		Nets: []circuits.Net{
+			{ID: 0, Pins: []fpga.Pin{pin, {X: 1, Y: 1, Side: fpga.South}}},
+			{ID: 1, Pins: []fpga.Pin{{X: 1, Y: 0, Side: fpga.East}, pin}},
+		},
+	}
 	unresolvable := map[string]SubmitRequest{
 		"job-000003": {Mode: ModeRoute, Circuit: "no-such-circuit", Width: 9},
 		"job-000004": {Mode: ModeRoute, Circuit: "busc", Options: router.Options{Algorithm: "bogus"}},
+		"job-000005": {Mode: ModeRoute, Width: 4, Netlist: shorted},
 	}
 	for id, req := range unresolvable {
 		reqRaw, _ := json.Marshal(req)

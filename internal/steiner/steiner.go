@@ -61,50 +61,6 @@ func errPinRange(v graph.NodeID) error { return fmt.Errorf("steiner: pin %d out 
 
 func errDuplicatePin(v graph.NodeID) error { return fmt.Errorf("steiner: duplicate pin %d", v) }
 
-// DistanceGraph is the complete graph G' over a node subset whose edge
-// weights are shortest-path distances in the underlying graph (the first
-// step of both KMB and ZEL, and of the DOM arborescence construction).
-//
-// Index i of Terms corresponds to node i of the complete graph G.
-type DistanceGraph struct {
-	Terms []graph.NodeID
-	G     *graph.Graph
-	// pos maps an original node ID to its index in Terms.
-	pos map[graph.NodeID]int
-}
-
-// NewDistanceGraph builds the distance graph over terms using cached
-// shortest-path trees. Returns ErrNoRoute if any pair is disconnected.
-func NewDistanceGraph(cache *graph.SPTCache, terms []graph.NodeID) (*DistanceGraph, error) {
-	k := len(terms)
-	dg := &DistanceGraph{
-		Terms: append([]graph.NodeID(nil), terms...),
-		G:     graph.New(k),
-		pos:   make(map[graph.NodeID]int, k),
-	}
-	for i, v := range terms {
-		dg.pos[v] = i
-	}
-	// Distances go through the cache's symmetric lookup so that evaluating
-	// a candidate Steiner node never forces a Dijkstra rooted at the
-	// candidate: the distance to every established terminal is read off
-	// that terminal's (already cached) tree.
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			d := cache.Dist(terms[i], terms[j])
-			if d == graph.Inf() {
-				return nil, ErrNoRoute
-			}
-			dg.G.AddEdge(graph.NodeID(i), graph.NodeID(j), d)
-		}
-	}
-	return dg, nil
-}
-
-// Index returns the distance-graph index of original node v (which must be
-// one of Terms).
-func (dg *DistanceGraph) Index(v graph.NodeID) int { return dg.pos[v] }
-
 // localMST computes an MST of the subgraph induced by the given edges of
 // the cache's graph (deduplicated) using Kruskal over a compact node
 // remapping, so its cost is proportional to the edge set, not to |V(g)|.
@@ -178,11 +134,4 @@ func grow[T any](buf *[]T, n int) []T {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// sortedCopy returns a sorted copy of nodes (determinism helper).
-func sortedCopy(nodes []graph.NodeID) []graph.NodeID {
-	c := append([]graph.NodeID(nil), nodes...)
-	slices.Sort(c)
-	return c
 }

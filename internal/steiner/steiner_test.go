@@ -43,26 +43,6 @@ func TestCheckNet(t *testing.T) {
 	}
 }
 
-func TestDistanceGraph(t *testing.T) {
-	g := star(3)
-	c := cacheFor(g)
-	dg, err := NewDistanceGraph(c, []graph.NodeID{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dg.G.NumNodes() != 3 || dg.G.NumEdges() != 3 {
-		t.Fatalf("distance graph shape %d/%d", dg.G.NumNodes(), dg.G.NumEdges())
-	}
-	for i := 0; i < dg.G.NumEdges(); i++ {
-		if dg.G.Weight(graph.EdgeID(i)) != 2 {
-			t.Fatalf("distance = %v, want 2", dg.G.Weight(graph.EdgeID(i)))
-		}
-	}
-	if dg.Index(2) != 1 {
-		t.Fatal("Index mapping wrong")
-	}
-}
-
 func TestKMBStar(t *testing.T) {
 	// Terminals = all leaves of a 3-star. Optimal Steiner tree uses the
 	// center (cost 3); KMB's MST-of-distance-graph expands spokes and its
